@@ -15,8 +15,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import QuadratureDivergenceError
-
 
 @lru_cache(maxsize=64)
 def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -104,58 +102,6 @@ def fixed_quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float], *,
     """Integrate ``f`` over the paneled interval with a fixed Gauss rule."""
     nodes, weights = panel_rule(np.asarray(edges, dtype=float), order)
     return float(np.dot(np.asarray(f(nodes), dtype=float), weights))
-
-
-def adaptive_quad(
-    f: Callable[[np.ndarray], np.ndarray],
-    edges: Sequence[float],
-    *,
-    order: int = 12,
-    atol: float = 1e-10,
-    rtol: float = 1e-8,
-    max_rounds: int = 14,
-) -> float:
-    """Integrate ``f`` with per-panel refinement until the error estimate passes.
-
-    Each panel is scored by comparing the ``order`` and ``2 * order`` point
-    rules; panels over their share of the tolerance get split in half.  A
-    total that keeps growing geometrically instead of settling raises
-    :class:`QuadratureDivergenceError`, which is how callers learn that an
-    integral they asked for does not exist.
-    """
-    edges = np.asarray(edges, dtype=float)
-    history: list[float] = []
-    for round_no in range(max_rounds):
-        coarse = _per_panel(f, edges, order)
-        fine = _per_panel(f, edges, 2 * order)
-        total = float(fine.sum())
-        if not np.isfinite(total):
-            raise QuadratureDivergenceError("integrand produced non-finite values")
-        history.append(abs(total))
-        err = np.abs(fine - coarse)
-        tol = max(atol, rtol * abs(total))
-        if err.sum() <= tol:
-            return total
-        if len(history) >= 5 and all(
-            later > 4.0 * earlier for earlier, later in zip(history[-5:-1], history[-4:])
-        ):
-            raise QuadratureDivergenceError("integral grows under refinement; likely divergent")
-        # Split every panel holding more than its share of the budget.
-        share = tol / max(len(edges) - 1, 1)
-        bad = np.flatnonzero(err > share)
-        if bad.size == 0:
-            bad = np.array([int(np.argmax(err))])
-        mids = 0.5 * (edges[bad] + edges[bad + 1])
-        edges = np.unique(np.concatenate([edges, mids]))
-        if len(edges) > 20000:
-            raise QuadratureDivergenceError("refinement exceeded panel budget without converging")
-    raise QuadratureDivergenceError("adaptive quadrature did not converge")
-
-
-def _per_panel(f: Callable[[np.ndarray], np.ndarray], edges: np.ndarray, order: int) -> np.ndarray:
-    nodes, weights = panel_rule(edges, order)
-    vals = np.asarray(f(nodes), dtype=float) * weights
-    return vals.reshape(len(edges) - 1, order).sum(axis=1)
 
 
 def log_weighted_sum(log_terms: np.ndarray, weights: np.ndarray) -> float:

@@ -23,23 +23,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ConfigurationError, NumericalError
+
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
     "NUMEXPR_NUM_THREADS",
-)
-
-PIPELINES = (
-    "gauge-check",
-    "variance-scaling",
-    "metric-equivalence",
-    "rates",
-    "capacity",
-    "hausdorff",
-    "hit-mc",
-    "small-ball",
-    "polarity",
 )
 
 
@@ -112,8 +102,6 @@ class ConfigReader:
 
     @classmethod
     def load(cls, path: str) -> "ConfigReader":
-        from .errors import ConfigurationError
-
         try:
             text = Path(path).read_text()
         except OSError as exc:
@@ -137,8 +125,6 @@ class ConfigReader:
         if key in self._raw:
             return self._raw[key]
         if default is _REQUIRED:
-            from .errors import ConfigurationError
-
             raise ConfigurationError(f"missing required config key {key!r}")
         return default
 
@@ -153,8 +139,6 @@ class ConfigReader:
         try:
             return float(val)
         except ValueError:
-            from .errors import ConfigurationError
-
             raise ConfigurationError(f"config key {key!r} must be a number, got {val!r}") from None
 
     def int(self, key: str, default=None) -> int | None:
@@ -164,16 +148,12 @@ class ConfigReader:
         try:
             return int(val)
         except ValueError:
-            from .errors import ConfigurationError
-
             raise ConfigurationError(f"config key {key!r} must be an integer, got {val!r}") from None
 
     def floats(self, key: str, default=None) -> list | None:
         val = self._fetch(key, default)
         if val is None or isinstance(val, list):
             return val
-        from .errors import ConfigurationError
-
         try:
             out = [float(tok) for tok in str(val).replace(";", ",").split(",") if tok.strip()]
         except ValueError:
@@ -185,8 +165,6 @@ class ConfigReader:
     def reject_unknown(self) -> None:
         unknown = set(self._raw) - self._seen
         if unknown:
-            from .errors import ConfigurationError
-
             raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
@@ -212,7 +190,6 @@ def _model_from(cfg: ConfigReader):
 
 
 def _gauge_from(cfg: ConfigReader, prefix: str):
-    from .errors import ConfigurationError
     from .gauges import GaugeSpec
 
     family = cfg.str(f"{prefix}_family", "power")
@@ -226,13 +203,12 @@ def _gauge_from(cfg: ConfigReader, prefix: str):
             cfg.float(f"{prefix}_log_scale", math.e),
             domain_hi=cfg.float(f"{prefix}_domain_hi", math.inf),
         )
-    raise ConfigurationError(f"unknown gauge family {family!r} for {prefix}")
+    raise ConfigurationError(f"unknown gauge family {family!r} for {prefix}; use power or power-log")
 
 
 def _target_from(cfg: ConfigReader):
     import numpy as np
 
-    from .errors import ConfigurationError
     from .potential import Ball, Box, CantorDust, PointSet
 
     kind = cfg.str("target", _REQUIRED)
@@ -428,7 +404,6 @@ def _run_capacity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
 
 
 def _scaled_target(target, scale: float):
-    from .errors import ConfigurationError
     from .potential import Ball, Box
 
     if isinstance(target, Box):
@@ -538,8 +513,6 @@ def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
         if any(len(s) != 2 for s in shapes):
             raise ValueError
     except ValueError:
-        from .errors import ConfigurationError
-
         raise ConfigurationError(f"grids must look like 8x8,16x16, got {shapes_raw!r}") from None
 
     system = model_gauges(model)
@@ -575,28 +548,16 @@ def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     return rows
 
 
-_PIPELINE_FNS = {
-    "gauge-check": _run_gauge_check,
-    "variance-scaling": _run_variance_scaling,
-    "metric-equivalence": _run_metric_equivalence,
-    "rates": _run_rates,
-    "capacity": _run_capacity,
-    "hausdorff": _run_hausdorff,
-    "hit-mc": _run_hit_mc,
-    "small-ball": _run_small_ball,
-    "polarity": _run_polarity,
-}
-
-_PIPELINE_BLURBS = {
-    "gauge-check": "gauge monotonicity, polarity and growth-integral finiteness",
-    "variance-scaling": "pointwise variance follows the exact power law in t",
-    "metric-equivalence": "canonical metric squared vs. gauge envelope, bounded ratio",
-    "rates": "temporal and spatial increment exponents match the model orders",
-    "capacity": "energy-minimization capacity with Frank-Wolfe certificate",
-    "hausdorff": "dyadic-cover premeasure trajectory",
-    "hit-mc": "Monte Carlo hitting probability, raw and mesh-inflated",
-    "small-ball": "log-log slope of small-ball hitting frequency",
-    "polarity": "point polarity verdict and inflated-estimate trend",
+PIPELINES = {
+    "gauge-check": (_run_gauge_check, "gauge monotonicity, polarity and growth-integral finiteness"),
+    "variance-scaling": (_run_variance_scaling, "pointwise variance follows the exact power law in t"),
+    "metric-equivalence": (_run_metric_equivalence, "canonical metric squared vs. gauge envelope, bounded ratio"),
+    "rates": (_run_rates, "temporal and spatial increment exponents match the model orders"),
+    "capacity": (_run_capacity, "energy-minimization capacity with Frank-Wolfe certificate"),
+    "hausdorff": (_run_hausdorff, "dyadic-cover premeasure trajectory"),
+    "hit-mc": (_run_hit_mc, "Monte Carlo hitting probability, raw and mesh-inflated"),
+    "small-ball": (_run_small_ball, "log-log slope of small-ball hitting frequency"),
+    "polarity": (_run_polarity, "point polarity verdict and inflated-estimate trend"),
 }
 
 
@@ -618,8 +579,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="directory for the CSV report")
     args = parser.parse_args(argv)
 
-    from .errors import ConfigurationError, NumericalError
-
     try:
         cfg = ConfigReader.load(args.config)
         # read the config seed even when the flag overrides it, so a config
@@ -629,7 +588,8 @@ def main(argv=None) -> int:
             seed = args.seed
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        rows = _PIPELINE_FNS[args.pipeline](cfg, seed)
+        run, blurb = PIPELINES[args.pipeline]
+        rows = run(cfg, seed)
         out_path = out_dir / f"{args.pipeline}.csv"
         emit_csv(rows, out_path)
     except ConfigurationError as exc:
@@ -644,7 +604,7 @@ def main(argv=None) -> int:
 
     n_fail = sum(not r.passed for r in rows)
     status = "all passed" if n_fail == 0 else f"{n_fail} of {len(rows)} failed"
-    print(f"{args.pipeline}: {_PIPELINE_BLURBS[args.pipeline]} -> {out_path} ({status})")
+    print(f"{args.pipeline}: {blurb} -> {out_path} ({status})")
     return 0 if n_fail == 0 else 1
 
 

@@ -2,8 +2,8 @@
 
 Two broad failure families matter to callers: a problem was posed outside
 the supported parameter range (configuration), or a numerical routine could
-not deliver a trustworthy answer (quadrature blow-up, factorization failure,
-Monte Carlo resolution).  The command line maps the first family to exit
+not deliver a trustworthy answer (factorization failure, a negative metric
+radicand, a non-finite kernel, Monte Carlo resolution).  The command line maps the first family to exit
 code 2 and the second to exit code 3.
 """
 
@@ -14,10 +14,6 @@ class ConfigurationError(ValueError):
 
 class NumericalError(ArithmeticError):
     """A numerical routine failed to produce a reliable result."""
-
-
-class QuadratureDivergenceError(NumericalError):
-    """Adaptive quadrature kept growing instead of converging."""
 
 
 class FactorizationError(NumericalError):

@@ -34,7 +34,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import special
-from scipy.stats import qmc
 
 from . import _quad
 from .errors import ConfigurationError, NumericalError
@@ -364,41 +363,32 @@ class HeatModel:
             )
         return 2.0 * r_min ** (e + k + 1.0) / (e * (e + k + 1.0))
 
-    def _tail_cov(self, t: float, s: float, rhos: np.ndarray, r_min: float) -> np.ndarray:
+    def _tail(self, t: float, s: float, rhos: np.ndarray, r_min: float, deficit: bool) -> np.ndarray:
         """Closed-form contribution of the unresolved sliver r in [0, r_min].
 
         The cutoff guarantees x = rho^2/(4 r_min) >= 640 for every separation
         at or above the rule's floor, so those columns take either nothing
         (alpha = 0, the spatial factor is exp(-x)) or the first terms of the
         large-x asymptotic series (alpha > 0).  Columns with rho = 0 use the
-        exact power integral, the factor being identically 1 there.
+        exact power integral, the factor being identically 1 there.  For the
+        deficit factor 1 - exp(-x) M the rho = 0 columns vanish and the hot
+        ones are that power integral minus the covariance sliver.
         """
-        rhos = np.asarray(rhos, dtype=float)
-        out = np.zeros(rhos.shape)
         hot = rhos ** 2 >= 600.0 * 4.0 * r_min
-        flat = ~hot
-        if np.any(flat):
-            out[flat] = self._tail_moment(t, s, r_min, -self.decay)
-        if self.alpha > 0.0 and np.any(hot):
+        flat = self._profile_const * self._tail_moment(t, s, r_min, -self.decay)
+        acc = np.zeros(np.count_nonzero(hot))
+        if self.alpha > 0.0 and acc.size:
             a, c = 0.5 * self.alpha, 0.5 * self.space_dim
             inv = 4.0 / rhos[hot] ** 2
             beta = 1.0
-            acc = np.zeros(inv.shape)
             for k in range(4):
                 if k:
                     beta *= (c - a + k - 1.0) * (k - a) / k
                 acc += beta * inv ** (self.decay + k) * self._tail_moment(t, s, r_min, float(k))
-            out[hot] = math.gamma(c) / math.gamma(a) * acc
-        return self._profile_const * out
-
-    def _tail_spatial(self, t: float, rhos: np.ndarray, r_min: float) -> np.ndarray:
-        """Sliver contribution for the differenced equal-time integrand."""
-        rhos = np.asarray(rhos, dtype=float)
-        out = np.zeros(rhos.shape)
-        hot = rhos ** 2 >= 600.0 * 4.0 * r_min
-        if np.any(hot):
-            full = self._profile_const * self._tail_moment(t, t, r_min, -self.decay)
-            out[hot] = full - self._tail_cov(t, t, rhos[hot], r_min)
+            acc = math.gamma(c) / math.gamma(a) * acc
+        cov_hot = self._profile_const * acc
+        out = np.zeros(rhos.shape) if deficit else np.full(rhos.shape, flat)
+        out[hot] = flat - cov_hot if deficit else cov_hot
         return out
 
     def _cov_batch(
@@ -410,8 +400,14 @@ class HeatModel:
         order: int = 16,
         end_levels: int = 44,
         kink_levels: int = 36,
+        deficit: bool = False,
     ) -> np.ndarray:
-        """Covariance of one component at time pair (t, s), batched over rho."""
+        """Covariance of one component at time pair (t, s), batched over rho.
+
+        With ``deficit`` the spatial factor exp(-x) M is replaced by
+        1 - exp(-x) M, which gives half the squared metric at equal times
+        without the cancellation of variance minus covariance.
+        """
         rhos = np.asarray(rhos, dtype=float)
         pos = rhos[rhos > 0.0]
         rho_floor = float(np.min(pos)) if pos.size else 0.0
@@ -420,23 +416,14 @@ class HeatModel:
         )
         kernel_w = wgt * self._profile_const * r ** (-self.decay)
         x = np.multiply.outer(rhos ** 2, 1.0 / (4.0 * r))
-        vals = self._kummer(x) @ kernel_w
-        vals += self._tail_cov(t, s, rhos, r_min)
+        spatial = self._kummer_deficit if deficit else self._kummer
+        vals = spatial(x) @ kernel_w
+        vals += self._tail(t, s, rhos, r_min, deficit)
         return 0.5 * self.noise_const * vals
 
-    def _spatial_sq(self, t: float, rhos: np.ndarray, *, order: int = 16) -> np.ndarray:
+    def _spatial_sq(self, t: float, rhos: np.ndarray) -> np.ndarray:
         """Squared metric at equal times, batched over separations."""
-        rhos = np.asarray(rhos, dtype=float)
-        pos = rhos[rhos > 0.0]
-        rho_floor = float(np.min(pos)) if pos.size else 0.0
-        r, wgt, r_min = self._reduced_rule(
-            t, t, rho_floor, order=order, end_levels=44, kink_levels=36
-        )
-        kernel_w = wgt * self._profile_const * r ** (-self.decay)
-        x = np.multiply.outer(rhos ** 2, 1.0 / (4.0 * r))
-        vals = self._kummer_deficit(x) @ kernel_w
-        vals += self._tail_spatial(t, rhos, r_min)
-        return self.noise_const * vals
+        return 2.0 * self._cov_batch(t, t, rhos, deficit=True)
 
 
 def _separation(x, y, space_dim: int) -> float:
@@ -570,6 +557,8 @@ def check_field_hypotheses(
     the variance is compared against powers of the canonical metric for a
     few candidate Hoelder exponents, whose worst ratios are reported.
     """
+    from scipy.stats import qmc  # costs about a second at import; only this check uses it
+
     if n_pairs < 8:
         raise ConfigurationError("need at least 8 pairs")
     dim = model.space_dim

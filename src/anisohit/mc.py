@@ -97,15 +97,6 @@ class SampleGrid:
         return float(dt), math.sqrt(dx2)
 
 
-@dataclass(frozen=True)
-class FieldSample:
-    """One replicate: field vectors (components x grid points)."""
-
-    values: np.ndarray
-    seed: int
-    replicate_index: int
-
-
 def factor_covariance(model: HeatModel, grid: SampleGrid) -> np.ndarray:
     """Cholesky factor of the grid covariance, with a tiny-jitter fallback.
 
@@ -127,37 +118,22 @@ def factor_covariance(model: HeatModel, grid: SampleGrid) -> np.ndarray:
     )
 
 
-def _normals(seed: int, replicate: int, component: int, n: int) -> np.ndarray:
-    key = np.array([seed, (replicate << 32) | component], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+def sample_fields(factor: np.ndarray, components: int, seed: int, reps: Sequence[int]) -> np.ndarray:
+    """Field vectors of the given replicates, shape (len(reps), n_points, components).
 
-
-def sample_field(
-    model: HeatModel,
-    grid: SampleGrid,
-    seed: int,
-    replicate: int,
-    factor: np.ndarray | None = None,
-) -> FieldSample:
-    """Draw one replicate of the grid field; fully determined by its key."""
-    if factor is None:
-        factor = factor_covariance(model, grid)
-    n = grid.n_points
-    values = np.empty((model.components, n))
-    for comp in range(model.components):
-        values[comp] = factor @ _normals(seed, replicate, comp, n)
-    return FieldSample(values=values, seed=seed, replicate_index=replicate)
+    Replicate r, component c is ``factor @ z`` with z the Philox stream
+    keyed (seed, r, c), so any replicate is reproduced by drawing it alone.
+    """
+    n = factor.shape[0]
+    z = np.empty((n, len(reps) * components))
+    for j, rep in enumerate(reps):
+        for c in range(components):
+            key = np.array([seed, (rep << 32) | c], dtype=np.uint64)
+            z[:, j * components + c] = np.random.Generator(np.random.Philox(key=key)).standard_normal(n)
+    return np.moveaxis((factor @ z).reshape(n, len(reps), components), 0, 1)
 
 
 # -- hitting ----------------------------------------------------------------------
-
-
-def hit_indicator(sample: FieldSample, target: TargetSet, inflation: float = 0.0) -> bool:
-    """True when some grid point's field vector lies in the inflated target."""
-    if inflation < 0.0:
-        raise ConfigurationError("inflation must be nonnegative")
-    dist = target.distance(sample.values.T)
-    return bool(np.min(dist) <= inflation)
 
 
 @dataclass(frozen=True)
@@ -216,18 +192,12 @@ def _min_distances(
     seed: int,
 ) -> np.ndarray:
     """Per-replicate minimum distance from the sampled field to the target."""
-    n = factor.shape[0]
     comps = model.components
     out = np.empty(n_samples)
     for start in range(0, n_samples, _CHUNK):
         reps = range(start, min(start + _CHUNK, n_samples))
-        z = np.empty((n, len(reps) * comps))
-        for j, rep in enumerate(reps):
-            for c in range(comps):
-                z[:, j * comps + c] = _normals(seed, rep, c, n)
-        fields = (factor @ z).reshape(n, len(reps), comps)
-        pts = np.moveaxis(fields, 0, 1).reshape(len(reps) * n, comps)
-        dists = target.distance(pts).reshape(len(reps), n)
+        fields = sample_fields(factor, comps, seed, reps)
+        dists = target.distance(fields.reshape(-1, comps)).reshape(fields.shape[:2])
         out[list(reps)] = dists.min(axis=1)
     return out
 

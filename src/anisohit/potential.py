@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import ConfigurationError, KernelError
 from .gauges import GaugeSystem, check_monotonicity
@@ -406,12 +405,30 @@ class CapacityReport:
     minimizer: GridMeasure | None
 
 
+def _halton(n: int, dim: int) -> np.ndarray:
+    """Unscrambled Halton points 1..n: radical inverses of the index in the first dim primes."""
+    primes: list[int] = []
+    cand = 2
+    while len(primes) < dim:
+        if all(cand % p for p in primes):
+            primes.append(cand)
+        cand += 1
+    out = np.zeros((n, dim))
+    for j, base in enumerate(primes):
+        for i in range(n):
+            k, f, x = i + 1, 1.0, 0.0
+            while k:
+                f /= base
+                x += f * (k % base)
+                k //= base
+            out[i, j] = x
+    return out
+
+
 @lru_cache(maxsize=8)
 def _unit_pair_seps(dim: int, n_pairs: int = 64) -> np.ndarray:
     """Fixed quasi-random intra-cell pair separations for a unit cell."""
-    eng = qmc.Halton(d=2 * dim, scramble=False)
-    eng.fast_forward(1)  # skip the all-zeros first point
-    u = eng.random(n_pairs)
+    u = _halton(n_pairs, 2 * dim)
     seps = np.linalg.norm(u[:, :dim] - u[:, dim:], axis=1)
     return seps[seps > 0.0]
 

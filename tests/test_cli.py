@@ -2,10 +2,13 @@
 
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import anisohit
 from anisohit.cli import (
     ConfigReader,
     ReportRow,
@@ -143,6 +146,27 @@ def test_gauge_check_pipeline_passes_without_reference(tmp_path):
     assert main(["gauge-check", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
+def _critical_gauges(family):
+    # the gauges of H=0.75, d=1, alpha=0, D=4: q1 = tau^0.5, q2 = tau sqrt(log(2e/tau)),
+    # growth limit 1/(D nu1 nu2 - (d1 nu2 + d2 nu1)) = 2
+    return (
+        f"q1_nu = 0.5\nq2_family = {family}\nq2_nu = 1\nq2_log_scale = {2.0 * math.e!r}\n"
+        "state_dim = 4\ndiam_cap = 2.0\ngrowth_limit = 2\n"
+    )
+
+
+def test_gauge_check_accepts_the_log_corrected_family(tmp_path):
+    cfg = _write(tmp_path, _critical_gauges("power-log"))
+    assert main(["gauge-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert ",false" not in (tmp_path / "gauge-check.csv").read_text()
+
+
+def test_unknown_gauge_family_names_the_accepted_ones(tmp_path, capsys):
+    cfg = _write(tmp_path, _critical_gauges("power_log"))
+    assert main(["gauge-check", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "power-log" in capsys.readouterr().err
+
+
 def test_missing_required_key_exits_2(tmp_path):
     cfg = _write(tmp_path, "t_ref = 0.25\n")  # hurst missing
     assert main(["variance-scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -235,3 +259,16 @@ def test_capacity_pipeline_smoke(tmp_path):
     assert main(["capacity", "--config", cfg, "--out", str(tmp_path)]) == 0
     text = (tmp_path / "capacity.csv").read_text()
     assert "fw-gap" in text and "capacity," in text
+
+
+def test_package_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up on every run that imports it
+    code = (
+        "import sys\n"
+        "import anisohit.cli, anisohit.gauges, anisohit.heat, anisohit.mc, anisohit.potential\n"
+        "assert 'scipy.stats' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
+    )
+    src = str(Path(anisohit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -12,10 +12,9 @@ from anisohit.mc import (
     _min_distances,
     estimate_hit_prob,
     factor_covariance,
-    hit_indicator,
     mesh_inflation,
     point_trend,
-    sample_field,
+    sample_fields,
     small_ball_slope,
     wilson_interval,
 )
@@ -87,7 +86,7 @@ def test_sampled_variance_matches_the_model():
     L = factor_covariance(m, grid)
     n_reps = 4000
     draws = np.array(
-        [sample_field(m, grid, seed=11, replicate=r, factor=L).values[0, 0] for r in range(n_reps)]
+        [sample_fields(L, m.components, 11, [r])[0, 0, 0] for r in range(n_reps)]
     )
     want = m.variance(0.5)
     got = float(np.var(draws))
@@ -102,7 +101,7 @@ def test_sampled_correlation_matches_the_model():
     L = factor_covariance(m, grid)
     n_reps = 4000
     z = np.array(
-        [sample_field(m, grid, seed=3, replicate=r, factor=L).values[0] for r in range(n_reps)]
+        [sample_fields(L, m.components, 3, [r])[0, :, 0] for r in range(n_reps)]
     )
     want = m.covariance(0.4, [0.0], 0.9, [0.0])
     got = float(np.mean(z[:, 0] * z[:, 1]))
@@ -117,13 +116,13 @@ def test_samples_are_reproducible_and_distinct():
     m = _model()
     grid = SampleGrid.regular(m, 3, 3)
     L = factor_covariance(m, grid)
-    a = sample_field(m, grid, seed=7, replicate=5, factor=L)
-    b = sample_field(m, grid, seed=7, replicate=5, factor=L)
-    c = sample_field(m, grid, seed=7, replicate=6, factor=L)
-    d = sample_field(m, grid, seed=8, replicate=5, factor=L)
-    assert np.array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
-    assert not np.array_equal(a.values, d.values)
+    a = sample_fields(L, m.components, 7, [5])
+    b = sample_fields(L, m.components, 7, [5])
+    c = sample_fields(L, m.components, 7, [6])
+    d = sample_fields(L, m.components, 8, [5])
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert not np.array_equal(a, d)
 
 
 def test_min_distances_match_isolated_replicates():
@@ -135,8 +134,8 @@ def test_min_distances_match_isolated_replicates():
     target = Ball(center=(0.0,), radius=0.25)
     dmin = _min_distances(m, L, target, n_samples=300, seed=4)
     for rep in (0, 137, 299):
-        sample = sample_field(m, grid, seed=4, replicate=rep, factor=L)
-        want = float(np.min(target.distance(sample.values.T)))
+        sample = sample_fields(L, m.components, 4, [rep])[0]
+        want = float(np.min(target.distance(sample)))
         assert dmin[rep] == pytest.approx(want, rel=1e-12)
 
 
@@ -176,6 +175,9 @@ def test_huge_target_is_always_hit():
     target = Box(lo=(-100.0,), hi=(100.0,))
     result = estimate_hit_prob(m, grid, target, n_samples=200, seed=0, inflation_policy=0.0)
     assert result.raw.p_hat == 1.0
+    far = PointSet(points=np.array([[4.0]]))
+    result = estimate_hit_prob(m, grid, far, n_samples=200, seed=0, inflation_policy=100.0)
+    assert result.inflated.p_hat == 1.0
 
 
 def test_hit_probability_input_contracts():
@@ -188,17 +190,6 @@ def test_hit_probability_input_contracts():
         estimate_hit_prob(m, grid, target, n_samples=200, inflation_policy=-0.5)
     with pytest.raises(ConfigurationError):
         estimate_hit_prob(m, grid, Ball(center=(0.0, 0.0), radius=0.5), n_samples=200)
-
-
-def test_hit_indicator():
-    m = _model()
-    grid = SampleGrid(times=(0.5,), site_axes=((0.0,),))
-    sample = sample_field(m, grid, seed=1, replicate=0)
-    everywhere = Box(lo=(-50.0,), hi=(50.0,))
-    assert hit_indicator(sample, everywhere)
-    assert hit_indicator(sample, PointSet(points=np.array([[4.0]])), inflation=100.0)
-    with pytest.raises(ConfigurationError):
-        hit_indicator(sample, everywhere, inflation=-1.0)
 
 
 def test_mesh_inflation_formula():

@@ -1,4 +1,4 @@
-"""Panelled Gauss rules and the adaptive driver."""
+"""Panelled Gauss rules, panel edge ladders and the log-domain weighted sum."""
 
 import math
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisohit import _quad
-from anisohit.errors import QuadratureDivergenceError
 
 
 def test_gauss_rule_is_exact_on_polynomials():
@@ -63,25 +62,6 @@ def test_log_edges_validate_and_span():
     assert edges[-1] == pytest.approx(1.0, rel=1e-12)
     ratios = edges[1:] / edges[:-1]
     assert np.all(ratios <= 2.0 * (1.0 + 1e-9))
-
-
-def test_adaptive_quad_handles_a_kink():
-    # Bisection gains about one refinement level per round near the kink,
-    # so only modest tolerances are reachable within the round budget.
-    val = _quad.adaptive_quad(lambda x: np.abs(x - 0.3) ** 0.5, [0.0, 1.0], rtol=1e-6)
-    # int |x-0.3|^(1/2) dx over [0,1] = (0.3^1.5 + 0.7^1.5) / 1.5
-    ref = (0.3 ** 1.5 + 0.7 ** 1.5) / 1.5
-    assert math.isclose(val, ref, rel_tol=1e-5)
-
-
-def test_adaptive_quad_raises_on_divergent_integrand():
-    with pytest.raises(QuadratureDivergenceError):
-        _quad.adaptive_quad(lambda x: 1.0 / x, [0.0, 1.0])
-
-
-def test_adaptive_quad_raises_on_nan():
-    with pytest.raises(QuadratureDivergenceError):
-        _quad.adaptive_quad(lambda x: np.full_like(x, np.nan), [0.0, 1.0])
 
 
 def test_log_weighted_sum_matches_direct_sum_in_range():
