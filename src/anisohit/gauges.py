@@ -30,6 +30,10 @@ POWER_LOG = "power-log"
 
 _SLACK = 1e-12
 _BRANCH_POINT = -math.exp(-1.0)
+# log-space Lambert arguments within this of -1 use the branch-point series
+_NEAR_BRANCH = 1e-3
+# gauge values within this many ulps of the top of the range invert to its end
+_TOP_ULPS = 2.0
 
 
 def lambert_w_minus1(x):
@@ -66,16 +70,22 @@ def lambert_w_minus1_log(log_abs_x):
     The companion of :func:`lambert_w_minus1` for arguments given through
     their log magnitude, which covers values of x far below the floating
     point range.  There the defining relation ``log|w| + w = log|x|`` is
-    iterated directly; elsewhere this defers to the direct routine.
+    iterated directly.  Near the branch point, where forming x in linear
+    space would cancel most digits of ``1 + e*x``, that quantity is taken
+    as ``-expm1(1 + log|x|)`` instead (see :func:`_lambert_near_branch`).
+    Elsewhere this defers to the direct routine.
     """
     arr = np.atleast_1d(np.asarray(log_abs_x, dtype=float))
     if np.any(arr > -1.0 + 1e-9):
         raise ConfigurationError("log-space Lambert argument must be <= -1")
     out = np.empty_like(arr)
-    direct = arr > -700.0
+    near = arr > -1.0 - _NEAR_BRANCH
+    if np.any(near):
+        out[near] = _lambert_near_branch(np.minimum(arr[near] + 1.0, 0.0))
+    direct = (arr > -700.0) & ~near
     if np.any(direct):
-        out[direct] = lambert_w_minus1(-np.exp(np.minimum(arr[direct], -1.0)))
-    deep = ~direct
+        out[direct] = lambert_w_minus1(-np.exp(arr[direct]))
+    deep = arr <= -700.0
     if np.any(deep):
         ell = arr[deep]
         w = ell - np.log(-ell)
@@ -85,6 +95,23 @@ def lambert_w_minus1_log(log_abs_x):
     if np.asarray(log_abs_x).ndim == 0:
         return float(out[0])
     return out
+
+
+def _lambert_near_branch(m: np.ndarray) -> np.ndarray:
+    """W_{-1}(-exp(m - 1)) for -_NEAR_BRANCH < m <= 0, to full precision.
+
+    With s = 1 + e*x = -expm1(m) and p = -sqrt(2 s), the branch-point
+    series gives u = 1 + w to O(p**7); Newton steps on
+    ``log1p(-u) + u = m``, the relation ``log(-w) + w = log|x|`` written in
+    u, then polish it without the cancellation of the linear form.
+    """
+    p = -np.sqrt(-2.0 * np.expm1(m))
+    u = p * (1.0 + p * (-1.0 / 3 + p * (11.0 / 72 + p * (-43.0 / 540 + p * (769.0 / 17280 - p * 221.0 / 8505)))))
+    for _ in range(2):
+        resid = np.log1p(-u) + u - m
+        slope = -u / (1.0 - u)
+        u = u - np.where(u < 0.0, resid / np.where(u < 0.0, slope, 1.0), 0.0)
+    return u - 1.0
 
 
 @dataclass(frozen=True)
@@ -185,7 +212,11 @@ class GaugeSpec:
         if np.any(pos):
             out[pos] = np.exp(self._log_inverse(np.log(arr[pos])))
         if np.isfinite(self.domain_hi):
-            out = np.minimum(out, self.domain_hi)
+            # q' may vanish at domain_hi (the Lambert branch point), where a y
+            # within the rounding of q(domain_hi) fixes tau only to about the
+            # square root of that rounding; such y invert to domain_hi itself
+            top = arr >= hi * (1.0 - _TOP_ULPS * np.finfo(float).eps)
+            out = np.where(top, self.domain_hi, np.minimum(out, self.domain_hi))
         return _unwrap(out, scalar)
 
     # -- log-space internals (no domain checks; inputs assumed valid) -------

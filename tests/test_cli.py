@@ -272,3 +272,16 @@ def test_package_import_leaves_scipy_stats_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # only the Monte Carlo sampler uses BLAS, and it imports scipy.linalg itself
+    code = (
+        "import sys\n"
+        "import anisohit.cli, anisohit.gauges, anisohit.heat, anisohit.mc, anisohit.potential\n"
+        "assert 'scipy.linalg' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n"
+    )
+    src = str(Path(anisohit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

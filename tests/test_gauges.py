@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from anisohit.errors import ConfigurationError
@@ -55,6 +55,23 @@ def test_lambert_log_form_agrees_with_direct_form():
     via_log = lambert_w_minus1_log(logs)
     direct = lambert_w_minus1(-np.exp(logs))
     assert np.max(np.abs(via_log - direct)) < 1e-12
+
+
+# W_{-1}(-exp(L)) just below the branch point L = -1, mpmath at 40 digits
+LAMBERT_NEAR_BRANCH = {
+    -1.0001: -1.0142088807098002279,
+    -1.00000000005: -1.0000100000337470657,
+    -1.00000001: -1.0001414280225527595,
+    -1.000000000001: -1.0000014142770899067,
+    -1.0000000000000002: -1.0000000210734244035,
+}
+
+
+def test_lambert_log_form_is_accurate_near_the_branch_point():
+    # forming -exp(L) in linear space would leave 1 + e*x with few digits
+    for ell, want in LAMBERT_NEAR_BRANCH.items():
+        assert lambert_w_minus1_log(ell) == pytest.approx(want, abs=1e-15)
+    assert lambert_w_minus1_log(-1.0) == -1.0
 
 
 def test_lambert_log_form_survives_deep_underflow():
@@ -152,6 +169,9 @@ def test_power_gauge_is_increasing_and_invertible(nu, tau1, tau2):
     scale=st.floats(min_value=0.5, max_value=10.0),
     frac=st.floats(min_value=1e-6, max_value=1.0),
 )
+# near the branch point of the lower Lambert branch, and exactly at it
+@example(nu=1.0, delta=1.0, scale=1.0, frac=0.99999)
+@example(nu=1.0, delta=1.0631079902991576, scale=1.0, frac=1.0)
 def test_power_log_round_trip_on_its_domain(nu, delta, scale, frac):
     q = GaugeSpec.power_log(nu, delta, scale)
     tau = frac * q.domain_hi

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from anisohit.errors import ConfigurationError, InsufficientResolutionError
+import anisohit.mc
+from anisohit.errors import ConfigurationError, FactorizationError, InsufficientResolutionError
 from anisohit.heat import HeatModel, MetricEnvelope
 from anisohit.mc import (
     SampleGrid,
@@ -109,7 +110,50 @@ def test_sampled_correlation_matches_the_model():
     assert abs(got - want) <= 4.0 * sd
 
 
+def test_jitter_lifts_a_singular_covariance(monkeypatch):
+    # the all-ones matrix is PSD of rank one: the clean factorization fails
+    # and the first lift, 1e-10 of the largest variance, succeeds
+    ones = np.ones((3, 3))
+    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: ones.copy())
+    m = _model()
+    L = factor_covariance(m, SampleGrid.regular(m, 3, 1))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(ones)
+    assert np.max(np.abs(L @ L.T - (ones + 1e-10 * np.eye(3)))) <= 1e-12
+
+
+def test_indefinite_covariance_raises(monkeypatch):
+    indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: indefinite.copy())
+    m = _model()
+    with pytest.raises(FactorizationError):
+        factor_covariance(m, SampleGrid.regular(m, 3, 1))
+
+
 # -- keyed randomness ------------------------------------------------------------------
+
+
+def _reference_fields(L, components, seed, reps):
+    # one Philox stream per (replicate, component) column, then a dense product
+    n = L.shape[0]
+    z = np.empty((n, len(reps) * components))
+    for j, r in enumerate(reps):
+        for c in range(components):
+            gen = np.random.Generator(np.random.Philox(key=[seed, r << 32 | c]))
+            z[:, j * components + c] = gen.standard_normal(n)
+    return np.moveaxis((L @ z).reshape(n, len(reps), components), 0, 1)
+
+
+@pytest.mark.parametrize("components", [1, 4])
+@pytest.mark.parametrize("shape", [(3, 4), (1, 1)], ids=["3x4", "1x1"])
+def test_sample_fields_match_an_independent_reference(components, shape):
+    m = _model()
+    L = factor_covariance(m, SampleGrid.regular(m, *shape))
+    reps = [0, 5, 300]
+    got = sample_fields(L, components, 21, reps)
+    want = _reference_fields(L, components, 21, reps)
+    assert got.shape == (len(reps), L.shape[0], components)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_samples_are_reproducible_and_distinct():
@@ -132,6 +176,26 @@ def test_min_distances_match_isolated_replicates():
     grid = SampleGrid.regular(m, 3, 3)
     L = factor_covariance(m, grid)
     target = Ball(center=(0.0,), radius=0.25)
+    dmin = _min_distances(m, L, target, n_samples=300, seed=4)
+    for rep in (0, 137, 299):
+        sample = sample_fields(L, m.components, 4, [rep])[0]
+        want = float(np.min(target.distance(sample)))
+        assert dmin[rep] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        Ball(center=(0.1, -0.2), radius=0.3),
+        Box(lo=(-0.2, 0.0), hi=(0.3, 0.5)),
+        PointSet(points=np.array([[0.0, 0.0], [0.4, -0.3]])),
+    ],
+    ids=["ball", "box", "pointset"],
+)
+def test_min_distances_match_isolated_replicates_in_two_components(target):
+    m = _model(components=2)
+    grid = SampleGrid.regular(m, 4, 4)
+    L = factor_covariance(m, grid)
     dmin = _min_distances(m, L, target, n_samples=300, seed=4)
     for rep in (0, 137, 299):
         sample = sample_fields(L, m.components, 4, [rep])[0]
