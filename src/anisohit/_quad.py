@@ -11,7 +11,6 @@ a whole batch of spatial separations at once.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,24 +50,23 @@ def geometric_edges(
     refine_hi: bool = False,
     levels: int = 30,
     interior: int = 4,
-    ratio: float = 0.5,
 ) -> np.ndarray:
     """Panel edges on [a, b], geometrically refined toward flagged endpoints.
 
-    ``levels`` halvings (with factor ``ratio``) push the innermost panel edge
-    to within ``ratio**levels`` of the endpoint, which tames integrable power
-    singularities there.  The middle of the interval gets ``interior`` evenly
-    spaced panels.
+    ``levels`` halvings push the innermost panel edge to ``2**-(levels + 1)``
+    times the interval length from the endpoint, which tames integrable
+    power singularities there.  The middle of the interval gets
+    ``interior`` evenly spaced panels.
     """
     if not b > a:
         raise ValueError("need b > a")
     length = b - a
     lo_offsets = []
     if refine_lo:
-        lo_offsets = [length * 0.5 * ratio**k for k in range(levels, 0, -1)]
+        lo_offsets = [length * 0.5 ** (k + 1) for k in range(levels, 0, -1)]
     hi_offsets = []
     if refine_hi:
-        hi_offsets = [length * (1.0 - 0.5 * ratio**k) for k in range(1, levels + 1)]
+        hi_offsets = [length * (1.0 - 0.5 ** (k + 1)) for k in range(1, levels + 1)]
     mid_lo = lo_offsets[-1] if lo_offsets else 0.0
     mid_hi = hi_offsets[0] if hi_offsets else length
     mid = np.linspace(mid_lo, mid_hi, max(interior, 1) + 1)[1:-1].tolist()
@@ -86,22 +84,16 @@ def geometric_edges(
     return edges
 
 
-def log_edges(a: float, b: float, *, per_octave: float = 1.0) -> np.ndarray:
+def log_edges(a: float, b: float) -> np.ndarray:
     """Geometrically spaced panel edges on [a, b] with 0 < a < b.
 
     Suited to integrands that behave like powers of the variable over many
-    orders of magnitude.  ``per_octave`` panels are used per factor of two.
+    orders of magnitude.  One panel is used per factor of two.
     """
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
-    n = max(1, int(np.ceil(np.log2(b / a) * per_octave)))
+    n = max(1, int(np.ceil(np.log2(b / a))))
     return np.exp(np.linspace(np.log(a), np.log(b), n + 1))
-
-
-def fixed_quad(f: Callable[[np.ndarray], np.ndarray], edges: Sequence[float], *, order: int = 16) -> float:
-    """Integrate ``f`` over the paneled interval with a fixed Gauss rule."""
-    nodes, weights = panel_rule(np.asarray(edges, dtype=float), order)
-    return float(np.dot(np.asarray(f(nodes), dtype=float), weights))
 
 
 def log_weighted_sum(log_terms: np.ndarray, weights: np.ndarray) -> float:

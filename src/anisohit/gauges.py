@@ -11,7 +11,8 @@ growth integral, monotonicity and polarity verdicts.
 Everything here is deliberately evaluated in log space where it matters.
 The growth diagnostics walk the gauge argument down to ``2**-400`` of the
 window size, far past where the linear-scale quantities underflow, while
-their product stays of order one.
+their product stays of order one.  The lower Lambert branch that inverts
+the log-corrected family is solved the same way, with numpy alone.
 """
 
 from __future__ import annotations
@@ -20,98 +21,45 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from . import _quad
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError
 
 POWER = "power"
 POWER_LOG = "power-log"
 
 _SLACK = 1e-12
-_BRANCH_POINT = -math.exp(-1.0)
-# log-space Lambert arguments within this of -1 use the branch-point series
-_NEAR_BRANCH = 1e-3
 # gauge values within this many ulps of the top of the range invert to its end
 _TOP_ULPS = 2.0
-
-
-def lambert_w_minus1(x):
-    """Lower real branch of the Lambert W function on [-1/e, 0).
-
-    Solves ``w * exp(w) = x`` for the solution with ``w <= -1``.  scipy
-    supplies the start value and a guarded Newton step polishes it; near the
-    branch point ``x = -1/e`` the derivative blows up and polishing is
-    skipped because the start value is already at floating point accuracy.
-    Accepts scalars or arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float).copy()
-    if np.any(arr >= 0.0) or np.any(arr < _BRANCH_POINT * (1.0 + 1e-12)):
-        raise ConfigurationError("lambert_w_minus1 needs arguments in [-1/e, 0)")
-    arr = np.maximum(arr, _BRANCH_POINT)
-    w = special.lambertw(arr, k=-1).real
-    # The double closest to -1/e sits just below the true branch point, where
-    # scipy reports nan; the limiting value is exactly -1.
-    w = np.where(np.isfinite(w), w, -1.0)
-    for _ in range(2):
-        ew = np.exp(w)
-        denom = ew * (1.0 + w)
-        safe = (np.abs(1.0 + w) > 1e-6) & (denom != 0.0)
-        step = np.where(safe, (w * ew - arr) / np.where(denom != 0.0, denom, 1.0), 0.0)
-        w = w - step
-    return float(w[0]) if scalar else w
 
 
 def lambert_w_minus1_log(log_abs_x):
     """W_{-1}(-exp(log_abs_x)) for log_abs_x <= -1, safe against underflow.
 
-    The companion of :func:`lambert_w_minus1` for arguments given through
-    their log magnitude, which covers values of x far below the floating
-    point range.  There the defining relation ``log|w| + w = log|x|`` is
-    iterated directly.  Near the branch point, where forming x in linear
-    space would cancel most digits of ``1 + e*x``, that quantity is taken
-    as ``-expm1(1 + log|x|)`` instead (see :func:`_lambert_near_branch`).
-    Elsewhere this defers to the direct routine.
+    The lower real branch of the Lambert W function, with its argument x
+    given through ``log|x|`` so that values of x far below the floating
+    point range still invert, and so that near the branch point x = -1/e
+    the quantity 1 + e*x = -expm1(1 + log|x|) keeps all its digits.  Newton
+    steps solve ``log1p(-u) + u = m`` in u = 1 + w with m = 1 + log|x|, the
+    relation ``log(-w) + w = log|x|`` written without cancellation.  The
+    start value is the branch-point series in p = -sqrt(2 (1 + e*x)) for
+    m > -2 and the asymptotic form -L - log L - log(L)/L with L = -log|x|
+    beyond.  Accepts scalars or arrays.
     """
     arr = np.atleast_1d(np.asarray(log_abs_x, dtype=float))
-    if np.any(arr > -1.0 + 1e-9):
-        raise ConfigurationError("log-space Lambert argument must be <= -1")
-    out = np.empty_like(arr)
-    near = arr > -1.0 - _NEAR_BRANCH
-    if np.any(near):
-        out[near] = _lambert_near_branch(np.minimum(arr[near] + 1.0, 0.0))
-    direct = (arr > -700.0) & ~near
-    if np.any(direct):
-        out[direct] = lambert_w_minus1(-np.exp(arr[direct]))
-    deep = arr <= -700.0
-    if np.any(deep):
-        ell = arr[deep]
-        w = ell - np.log(-ell)
-        for _ in range(5):
-            w = ell - np.log(-w)
-        out[deep] = w
-    if np.asarray(log_abs_x).ndim == 0:
-        return float(out[0])
-    return out
-
-
-def _lambert_near_branch(m: np.ndarray) -> np.ndarray:
-    """W_{-1}(-exp(m - 1)) for -_NEAR_BRANCH < m <= 0, to full precision.
-
-    With s = 1 + e*x = -expm1(m) and p = -sqrt(2 s), the branch-point
-    series gives u = 1 + w to O(p**7); Newton steps on
-    ``log1p(-u) + u = m``, the relation ``log(-w) + w = log|x|`` written in
-    u, then polish it without the cancellation of the linear form.
-    """
+    if not np.all(np.isfinite(arr) & (arr <= -1.0 + 1e-9)):
+        raise ConfigurationError("log-space Lambert argument must be finite and <= -1")
+    m = np.minimum(arr + 1.0, 0.0)
     p = -np.sqrt(-2.0 * np.expm1(m))
-    u = p * (1.0 + p * (-1.0 / 3 + p * (11.0 / 72 + p * (-43.0 / 540 + p * (769.0 / 17280 - p * 221.0 / 8505)))))
-    for _ in range(2):
+    series = p * (1.0 + p * (-1.0 / 3 + p * (11.0 / 72 + p * (-43.0 / 540 + p * (769.0 / 17280 - p * 221.0 / 8505)))))
+    log_l = np.log(-arr)
+    u = np.where(m > -2.0, series, 1.0 + arr - log_l + log_l / arr)
+    for _ in range(5):
         resid = np.log1p(-u) + u - m
         slope = -u / (1.0 - u)
         u = u - np.where(u < 0.0, resid / np.where(u < 0.0, slope, 1.0), 0.0)
-    return u - 1.0
+    w = u - 1.0
+    return float(w[0]) if np.asarray(log_abs_x).ndim == 0 else w
 
 
 @dataclass(frozen=True)
@@ -528,71 +476,3 @@ def check_growth(system: GaugeSystem, grid_size: int = 200) -> GrowthReport:
         values=values,
         monotonicity=mono,
     )
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Whether a gauge satisfies the doubling/scaling hypothesis."""
-
-    holds: bool
-    log_integral: float
-    value_ratio_max: float
-    slope_ratio_max: float
-
-
-def check_scaling(
-    spec: GaugeSpec, *, p: float = 1.0, dim: int = 1, c_tilde: float = 1.0, grid: int = 64
-) -> ScalingReport:
-    """Grid test of the scaling hypothesis plus its logarithmic moment.
-
-    The hypothesis asks for comparison functions phi, psi with
-    ``q(r * tau) <= phi(tau) q(r)`` and ``r * q'(r tau) <= psi(tau) q(r tau)``
-    together with a finite moment
-    ``int_0^1 log^p(1 + c_tilde / tau^(2 dim)) phi(tau) psi(tau) dtau``.
-    For the two supported families the canonical choices are phi(tau) =
-    tau**nu (power) or tau**nu (1 + log(C/tau))**delta with C = max(sqrt(scale), 1)
-    (power-log), and psi(tau) = nu / tau.  Both bounds then hold with
-    constant one, which the grid check verifies numerically.
-    """
-    if p <= 0 or dim < 1 or c_tilde <= 0:
-        raise ConfigurationError("check_scaling needs p > 0, dim >= 1, c_tilde > 0")
-    r_max = min(1.0, spec.domain_hi)
-    pts = np.exp(np.linspace(math.log(r_max) - 18.0, math.log(r_max), grid))
-    r = pts[None, :]
-    t = pts[:, None]
-    rt = r * t
-
-    q_rt = spec._value_array(rt.ravel()).reshape(rt.shape)
-    q_r = spec._value_array(pts)[None, :]
-    dq_rt = spec.derivative(rt.ravel()).reshape(rt.shape)
-
-    if spec.is_log:
-        big_c = max(math.sqrt(spec.log_scale), 1.0)
-        phi_t = pts**spec.nu * (1.0 + np.log(big_c / pts)) ** spec.delta
-    else:
-        big_c = 1.0
-        phi_t = pts**spec.nu
-    psi_t = spec.nu / pts
-
-    value_ratio = q_rt / (phi_t[:, None] * q_r)
-    slope_ratio = r * dq_rt / (psi_t[:, None] * q_rt)
-    value_ratio_max = float(np.max(value_ratio))
-    slope_ratio_max = float(np.max(slope_ratio))
-
-    def integrand(tau: np.ndarray) -> np.ndarray:
-        moment = np.log1p(c_tilde * tau ** (-2.0 * dim)) ** p
-        if spec.is_log:
-            body = spec.nu * tau ** (spec.nu - 1.0) * (1.0 + np.log(big_c / tau)) ** spec.delta
-        else:
-            body = spec.nu * tau ** (spec.nu - 1.0)
-        return moment * body
-
-    edges = _quad.geometric_edges(0.0, 1.0, refine_lo=True, levels=45)
-    log_integral = _quad.fixed_quad(integrand, edges, order=16)
-
-    holds = (
-        np.isfinite(log_integral)
-        and value_ratio_max <= 1.0 + 1e-9
-        and slope_ratio_max <= 1.0 + 1e-9
-    )
-    return ScalingReport(bool(holds), log_integral, value_ratio_max, slope_ratio_max)

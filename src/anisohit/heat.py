@@ -13,7 +13,8 @@ spatial frequency leaves a single time integral: with b = (d - alpha)/2,
 where W collects the anti-diagonal mass of |tau - sigma|^(2H-2) in closed
 form and S(r, rho) = (4 pi)^(-d/2) Gamma(b)/Gamma(d/2) r^(-b)
 exp(-rho^2/4r) M(alpha/2, d/2, rho^2/4r) with Kummer's M.  For alpha = 0
-the Kummer factor is 1 and S is the Gaussian heat profile.  The integrand
+the Kummer factor is 1 and S is the Gaussian heat profile; only alpha > 0
+models evaluate M, and only they load ``scipy.special``.  The integrand
 is smooth except for power kinks at p in {s, t, 2s, 2t} and integrable
 endpoint singularities, so panelled Gauss rules with geometric refinement
 evaluate it essentially to machine precision, vectorized over a whole
@@ -33,7 +34,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from . import _quad
 from .errors import ConfigurationError, NumericalError
@@ -131,6 +131,8 @@ class HeatModel:
         """exp(-x) M(alpha/2, d/2, x) for x >= 0, uniformly accurate."""
         if self.alpha == 0.0:
             return np.exp(-x)
+        from scipy import special  # only alpha > 0 models need 1F1
+
         a, c = 0.5 * self.alpha, 0.5 * self.space_dim
         out = np.empty_like(x)
         small = x <= 400.0
@@ -258,7 +260,7 @@ class HeatModel:
         pts: set[float] = set()
         for i in range(len(brks) - 1):
             lo, hi = brks[i], brks[i + 1]
-            pts.update(_quad.log_edges(lo, hi, per_octave=1.0))
+            pts.update(_quad.log_edges(lo, hi))
             span = hi - lo
             if i + 1 < len(brks) - 1:
                 pts.update(hi - span * 0.5 ** j for j in range(1, kink_levels + 1))
@@ -528,82 +530,6 @@ def covariance_matrix(
             if j > i:
                 cov[j * ns : (j + 1) * ns, i * ns : (i + 1) * ns] = block.T
     return cov
-
-
-# -- hypothesis report ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FieldHypothesesReport:
-    """Numerical audit of the standing assumptions on the field."""
-
-    ok: bool
-    sigma2_min: float
-    sigma2_max: float
-    sigma2_floor: float
-    max_correlation: float
-    holder_ratios: dict
-    n_pairs: int
-
-
-def check_field_hypotheses(
-    model: HeatModel, n_pairs: int = 256, seed: int = 0
-) -> FieldHypothesesReport:
-    """Check variance positivity, non-degenerate correlation and metric Hoelder bounds.
-
-    Point pairs are drawn quasi-randomly from the observation window.  The
-    variance floor is the exact kappa * t0^a; correlations are required to
-    stay below 1 - 1e-6 at separations of at least 1e-3; the increment of
-    the variance is compared against powers of the canonical metric for a
-    few candidate Hoelder exponents, whose worst ratios are reported.
-    """
-    from scipy.stats import qmc  # costs about a second at import; only this check uses it
-
-    if n_pairs < 8:
-        raise ConfigurationError("need at least 8 pairs")
-    dim = model.space_dim
-    eng = qmc.Halton(d=2 * (1 + dim), scramble=True, seed=seed)
-    u = eng.random(n_pairs)
-    span = model.t1 - model.t0
-    t_a = model.t0 + span * u[:, 0]
-    t_b = model.t0 + span * u[:, 1 + dim]
-    x_a = model.box_radius * (2.0 * u[:, 1 : 1 + dim] - 1.0)
-    x_b = model.box_radius * (2.0 * u[:, 2 + dim :] - 1.0)
-
-    sig_a = model.variance(t_a)
-    sig_b = model.variance(t_b)
-    candidates = {"eta=1": 2.0}
-    candidates[f"eta=1/nu1-1={1.0 / model.temporal_order - 1.0:.6g}"] = 1.0 / model.temporal_order
-    if model.is_critical:
-        candidates["eta=0.8"] = 1.8
-
-    max_corr = -1.0
-    ratios = {name: 0.0 for name in candidates}
-    for k in range(n_pairs):
-        cov = model.covariance(t_a[k], x_a[k], t_b[k], x_b[k])
-        dd = model.metric(t_a[k], x_a[k], t_b[k], x_b[k])
-        sep = max(abs(t_a[k] - t_b[k]), float(np.linalg.norm(x_a[k] - x_b[k])))
-        if sep >= 1e-3:
-            max_corr = max(max_corr, abs(cov) / math.sqrt(sig_a[k] * sig_b[k]))
-        if dd > 0.0:
-            gap = abs(sig_a[k] - sig_b[k])
-            for name, expo in candidates.items():
-                ratios[name] = max(ratios[name], gap / dd**expo)
-
-    floor = model.variance(model.t0)
-    ok = (
-        float(np.min(np.concatenate([sig_a, sig_b]))) >= floor * (1.0 - 1e-9)
-        and max_corr <= 1.0 - 1e-6
-    )
-    return FieldHypothesesReport(
-        ok=bool(ok),
-        sigma2_min=float(min(np.min(sig_a), np.min(sig_b))),
-        sigma2_max=float(max(np.max(sig_a), np.max(sig_b))),
-        sigma2_floor=float(floor),
-        max_correlation=float(max_corr),
-        holder_ratios=ratios,
-        n_pairs=n_pairs,
-    )
 
 
 # -- slope experiments ---------------------------------------------------------

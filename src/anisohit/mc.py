@@ -289,8 +289,10 @@ def small_ball_slope(
     eps by construction.  Every frequency must land strictly inside (0, 1);
     otherwise the ladder cannot identify a slope at this resolution.
     """
+    if n_samples < 100:
+        raise ConfigurationError("need n_samples >= 100 for a meaningful interval")
     eps = np.asarray([float(e) for e in eps_ladder])
-    if len(eps) < 3 or np.any(eps <= 0) or np.any(np.diff(eps) >= 0):
+    if len(eps) < 3 or not np.all(eps > 0) or not np.all(np.diff(eps) < 0):
         raise ConfigurationError("eps_ladder must be >= 3 strictly decreasing radii")
     z = np.asarray(center, dtype=float).reshape(1, -1)
     if z.shape[1] != model.components:

@@ -17,7 +17,7 @@ the covering ball diameter, minimized over a few nearby scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -117,7 +117,7 @@ class Box(TargetSet):
         hi = tuple(float(v) for v in np.atleast_1d(np.asarray(self.hi, dtype=float)))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
+        if len(lo) != len(hi) or not all(a <= b for a, b in zip(lo, hi)):
             raise ConfigurationError("box needs lo <= hi componentwise")
 
     @property
@@ -245,47 +245,6 @@ class CantorDust(TargetSet):
         return len(self._axis_cells(side)) ** self.dim
 
 
-@dataclass(frozen=True, eq=False)
-class Union(TargetSet):
-    """Union of finitely many target sets in a common ambient dimension."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
-        if not parts:
-            raise ConfigurationError("union needs at least one part")
-        dims = {p.dim for p in parts}
-        if len(dims) != 1:
-            raise ConfigurationError("union parts must share one ambient dimension")
-
-    @property
-    def dim(self) -> int:
-        return self.parts[0].dim
-
-    def distance(self, points) -> np.ndarray:
-        pts = self._points2d(points)
-        return np.min(np.stack([p.distance(pts) for p in self.parts]), axis=0)
-
-    def cells(self, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-        share = max(1, n_cells // len(self.parts))
-        all_centers, all_widths = [], []
-        for p in self.parts:
-            c, w = p.cells(share)
-            all_centers.append(c)
-            all_widths.append(w)
-        centers = np.concatenate(all_centers)
-        widths = np.concatenate(all_widths)
-        centers, keep = np.unique(np.round(centers, 12), axis=0, return_index=True)
-        return centers, widths[keep]
-
-    def dyadic_cells(self, side: float) -> np.ndarray:
-        total = int(np.sum([p.dyadic_count(side) for p in self.parts]))
-        _guard_cover_size(total)
-        return np.unique(np.concatenate([p.dyadic_cells(side) for p in self.parts]), axis=0)
-
-
 def _product_grid(axes: Sequence[np.ndarray]) -> np.ndarray:
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -340,7 +299,7 @@ class PotentialKernel:
 
 def riesz_kernel(beta: float, ambient_dim: int) -> PotentialKernel:
     """|z|^(-beta) with the self-energy flag relative to ambient_dim cells."""
-    if beta < 0:
+    if not beta >= 0.0:
         raise ConfigurationError("riesz exponent must be nonnegative")
 
     def profile(r):
@@ -450,7 +409,7 @@ def capacity(
     """
     if n_cells < 2:
         raise ConfigurationError("capacity needs n_cells >= 2")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ConfigurationError("capacity needs tol > 0")
     centers, widths = target.cells(n_cells)
     if len(centers) == 0:
@@ -458,7 +417,7 @@ def capacity(
     diffs = centers[:, None, :] - centers[None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=2))
     if np.any((dists == 0.0) & ~np.eye(len(centers), dtype=bool)):
-        raise ConfigurationError("coincident cell centers; target parts overlap")
+        raise ConfigurationError("coincident cell centers; the target repeats a point")
     with np.errstate(over="ignore"):
         K = np.asarray(kernel.radial_profile(dists), dtype=float)
     diag = np.empty(len(centers))
@@ -560,8 +519,8 @@ def hausdorff_upper(
     a valid upper bound.
     """
     ladder = [float(e) for e in eps_ladder]
-    if not ladder or any(e <= 0 for e in ladder) or any(
-        b >= a for a, b in zip(ladder, ladder[1:])
+    if not ladder or not all(e > 0.0 for e in ladder) or not all(
+        b < a for a, b in zip(ladder, ladder[1:])
     ):
         raise ConfigurationError("eps_ladder must be positive and strictly decreasing")
     root_dim = math.sqrt(target.dim)

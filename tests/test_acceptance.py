@@ -18,7 +18,6 @@ from anisohit.gauges import (
     GaugeSystem,
     check_growth,
     check_monotonicity,
-    lambert_w_minus1,
     lambert_w_minus1_log,
 )
 from anisohit.heat import (
@@ -165,7 +164,7 @@ def test_criterion_04_metric_envelope_band():
 def test_criterion_05_lambert_branch():
     started = time.monotonic()
     x = -np.exp(np.linspace(math.log(1e-300), math.log(math.exp(-1.0) * (1.0 - 1e-12)), 1000))
-    w = lambert_w_minus1(x)
+    w = lambert_w_minus1_log(np.log(-x))
     assert np.all(np.abs(w * np.exp(w) - x) <= 1e-12 * np.abs(x))
     # two-sided elementary sandwich for the branch at -exp(-z-1)
     z = np.logspace(-3.0, 3.0, 1000)

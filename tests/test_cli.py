@@ -188,6 +188,25 @@ def test_blocked_output_directory_exits_2(tmp_path):
     assert main(["variance-scaling", "--config", cfg, "--out", str(blocked)]) == 2
 
 
+@pytest.mark.parametrize(
+    "pipeline, text",
+    [
+        ("capacity", "target = interval\nriesz_beta = nan\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\ntol = nan\n"),
+        ("capacity", "target = interval\ntarget_lo = nan\nriesz_beta = 0.3\n"),
+        ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, nan, 0.001\n"),
+        ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\nn_samples = 0\n"),
+        ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\nn_samples = -5\n"),
+        ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\neps = 0.2, nan, 0.05\nn_samples = 200\n"),
+    ],
+    ids=["beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative", "small-ball-eps-nan"],
+)
+def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
+    cfg = _write(tmp_path, text)
+    assert main([pipeline, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / f"{pipeline}.csv").exists()
+
+
 def test_insufficient_resolution_exits_3(tmp_path):
     cfg = _write(
         tmp_path,
@@ -261,27 +280,49 @@ def test_capacity_pipeline_smoke(tmp_path):
     assert "fw-gap" in text and "capacity," in text
 
 
-def test_package_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of start-up on every run that imports it
-    code = (
-        "import sys\n"
-        "import anisohit.cli, anisohit.gauges, anisohit.heat, anisohit.mc, anisohit.potential\n"
-        "assert 'scipy.stats' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.stats'))\n"
-    )
+def _fresh_interpreter(code):
     src = str(Path(anisohit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env, capture_output=True, text=True)
+
+
+def _assert_unloaded(module):
+    return f"assert {module!r} not in sys.modules, sorted(m for m in sys.modules if m.startswith({module!r}))\n"
+
+
+# scipy.stats costs about a second of start-up, scipy.special about half of
+# one; the sampler imports scipy.linalg and alpha > 0 models scipy.special
+# themselves, so importing the package loads none of them
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg", "scipy.special"])
+def test_package_import_leaves_scipy_module_unloaded(module):
+    proc = _fresh_interpreter(
+        "import anisohit.cli, anisohit.gauges, anisohit.heat, anisohit.mc, anisohit.potential\n"
+        + _assert_unloaded(module)
+    )
     assert proc.returncode == 0, proc.stderr
 
 
-def test_package_import_leaves_scipy_linalg_unloaded():
-    # only the Monte Carlo sampler uses BLAS, and it imports scipy.linalg itself
-    code = (
-        "import sys\n"
-        "import anisohit.cli, anisohit.gauges, anisohit.heat, anisohit.mc, anisohit.potential\n"
-        "assert 'scipy.linalg' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy.linalg'))\n"
+def test_white_noise_model_and_log_gauges_leave_scipy_special_unloaded():
+    # the critical power-log system inverts its gauge through the lower
+    # Lambert branch, which is numpy-only
+    proc = _fresh_interpreter(
+        "from anisohit.heat import HeatModel, model_gauges\n"
+        "from anisohit.gauges import check_growth\n"
+        "m = HeatModel(hurst=0.75, components=4)\n"
+        "assert m.variance_const > 0.0\n"
+        "assert m.is_critical and model_gauges(m).q2.is_log\n"
+        "assert check_growth(model_gauges(m), grid_size=64).ok\n"
+        + _assert_unloaded("scipy.special")
     )
-    src = str(Path(anisohit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_coloured_noise_model_loads_scipy_special():
+    # negative control: the guard above can fail
+    proc = _fresh_interpreter(
+        "from anisohit.heat import HeatModel\n"
+        "assert HeatModel(hurst=0.8, alpha=0.5, space_dim=2).variance_const > 0.0\n"
+        + _assert_unloaded("scipy.special")
+    )
+    assert proc.returncode != 0
+    assert "AssertionError" in proc.stderr and "scipy.special" in proc.stderr

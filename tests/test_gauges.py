@@ -13,21 +13,17 @@ from anisohit.gauges import (
     GaugeSystem,
     check_growth,
     check_monotonicity,
-    check_scaling,
-    lambert_w_minus1,
     lambert_w_minus1_log,
 )
 
 # Oracle values computed once with mpmath at 40 digits (log-space bisection
-# for the inverse, tanh-sinh quadrature for the moments) and frozen here.
+# for the inverse) and frozen here.
 POWERLOG_INV = {
     # q(tau) = tau^0.65 * log(2/tau)^0.5 = y
     0.1: 0.007739868236011444732,
     1e-6: 5.0342528107588616943e-11,
     1e-30: 1.8796472882746740974e-48,
 }
-SCALING_MOMENT_POWER = 2.884332934228094215        # nu=0.75, p=1, dim=1, c=1
-SCALING_MOMENT_POWERLOG = 6.55692342879147096      # nu=0.65, delta=0.5, scale=2
 
 
 # -- Lambert branch ----------------------------------------------------------
@@ -35,25 +31,28 @@ SCALING_MOMENT_POWERLOG = 6.55692342879147096      # nu=0.65, delta=0.5, scale=2
 
 def test_lambert_solves_its_defining_equation():
     x = -np.exp(np.linspace(math.log(1e-300), math.log(math.exp(-1.0) * 0.999), 60))
-    w = lambert_w_minus1(x)
+    w = lambert_w_minus1_log(np.log(-x))
     assert np.all(w <= -1.0)
     resid = np.abs(w * np.exp(w) - x) / np.abs(x)
     assert float(resid.max()) < 1e-13
 
 
 def test_lambert_branch_point_and_domain():
-    assert lambert_w_minus1(-math.exp(-1.0)) == pytest.approx(-1.0, abs=1e-7)
+    assert lambert_w_minus1_log(np.log(math.exp(-1.0))) == pytest.approx(-1.0, abs=1e-7)
     with pytest.raises(ConfigurationError):
-        lambert_w_minus1(0.0)
-    with pytest.raises(ConfigurationError):
-        lambert_w_minus1(-0.5)  # below -1/e
-    assert isinstance(lambert_w_minus1(-0.1), float)
+        lambert_w_minus1_log(np.log(0.5))  # below -1/e
+    for bad in (-math.inf, math.nan):
+        with pytest.raises(ConfigurationError):
+            lambert_w_minus1_log(bad)
+    assert isinstance(lambert_w_minus1_log(np.log(0.1)), float)
 
 
 def test_lambert_log_form_agrees_with_direct_form():
+    from scipy import special
+
     logs = np.linspace(-600.0, -2.0, 40)
     via_log = lambert_w_minus1_log(logs)
-    direct = lambert_w_minus1(-np.exp(logs))
+    direct = special.lambertw(-np.exp(logs), k=-1).real
     assert np.max(np.abs(via_log - direct)) < 1e-12
 
 
@@ -72,6 +71,27 @@ def test_lambert_log_form_is_accurate_near_the_branch_point():
     for ell, want in LAMBERT_NEAR_BRANCH.items():
         assert lambert_w_minus1_log(ell) == pytest.approx(want, abs=1e-15)
     assert lambert_w_minus1_log(-1.0) == -1.0
+
+
+# W_{-1}(-exp(L)) from the branch-point series range to past exp underflow,
+# mpmath at 40 digits
+LAMBERT_TABLE = {
+    -1.002: -1.0645858547990341211,
+    -1.005: -1.1033607431118384507,
+    -1.01: -1.1481651223793948047,
+    -1.05: -1.3504032559772222989,
+    -1.5: -2.3576766739458990584,
+    -3.0: -4.505241495792883367,
+    -30.0: -33.511900618078092872,
+    -699.0: -705.55899038279775144,
+    -701.0: -707.56182501087391084,
+    -1e4: -10009.211261074107278,
+}
+
+
+def test_lambert_log_form_matches_a_frozen_table():
+    for ell, want in LAMBERT_TABLE.items():
+        assert lambert_w_minus1_log(ell) == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 def test_lambert_log_form_survives_deep_underflow():
@@ -325,21 +345,6 @@ def test_growth_report_rejects_a_non_polar_system():
     assert not rep.monotonicity.polar_points
     with pytest.raises(ConfigurationError):
         check_growth(_power_system(0.5, 1.0, dim=4), grid_size=4)
-
-
-def test_scaling_holds_for_both_families_with_frozen_moments():
-    rep = check_scaling(GaugeSpec.power(0.75))
-    assert rep.holds
-    assert rep.value_ratio_max <= 1.0 + 1e-9
-    assert rep.slope_ratio_max <= 1.0 + 1e-9
-    assert rep.log_integral == pytest.approx(SCALING_MOMENT_POWER, rel=1e-8)
-
-    rep2 = check_scaling(GaugeSpec.power_log(0.65, 0.5, 2.0))
-    assert rep2.holds
-    assert rep2.log_integral == pytest.approx(SCALING_MOMENT_POWERLOG, rel=1e-8)
-
-    with pytest.raises(ConfigurationError):
-        check_scaling(GaugeSpec.power(0.75), p=-1.0)
 
 
 def test_system_validation():

@@ -11,7 +11,6 @@ from anisohit.errors import ConfigurationError, NumericalError
 from anisohit.heat import (
     HeatModel,
     MetricEnvelope,
-    check_field_hypotheses,
     covariance_matrix,
     model_gauges,
     spatial_gauge_residual,
@@ -311,21 +310,7 @@ def test_envelope_brackets_the_metric_off_critical():
     assert ratios.max() < 1e3
 
 
-# -- hypotheses and slope fits ----------------------------------------------------------
-
-
-def test_field_hypotheses_hold_on_reference_models():
-    for m in (_model(0.6, 1, 0.0), _model(0.75, 1, 0.0)):
-        report = check_field_hypotheses(m, n_pairs=32, seed=3)
-        assert report.ok
-        assert report.sigma2_min >= report.sigma2_floor * (1.0 - 1e-9)
-        assert report.max_correlation < 1.0 - 1e-6
-        assert report.n_pairs == 32
-
-
-def test_field_hypotheses_need_enough_pairs():
-    with pytest.raises(ConfigurationError):
-        check_field_hypotheses(_model(0.6, 1, 0.0), n_pairs=4)
+# -- slope fits -------------------------------------------------------------------------
 
 
 def test_temporal_slope_spot_check():

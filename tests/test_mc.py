@@ -316,6 +316,8 @@ def test_small_ball_ladder_contracts():
         small_ball_slope(m, grid, [0.0], eps_ladder=[0.1, 0.2, 0.4], n_samples=200)
     with pytest.raises(ConfigurationError):
         small_ball_slope(m, grid, [0.0, 0.0], eps_ladder=[0.4, 0.2, 0.1], n_samples=200)
+    with pytest.raises(ConfigurationError, match="n_samples >= 100"):
+        small_ball_slope(m, grid, [0.0], eps_ladder=[0.4, 0.2, 0.1], n_samples=0)
     with pytest.raises(InsufficientResolutionError):
         # every replicate lands within 50 of the center, so p sticks at 1
         small_ball_slope(m, grid, [0.0], eps_ladder=[200.0, 100.0, 50.0], n_samples=200)

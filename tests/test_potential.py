@@ -13,7 +13,6 @@ from anisohit.potential import (
     CantorDust,
     PointSet,
     PotentialKernel,
-    Union,
     _simplex_min_quadratic,
     _unit_pair_seps,
     capacity,
@@ -59,12 +58,6 @@ def test_cantor_distance():
     assert plane.distance([[0.5, 0.5]])[0] == pytest.approx(math.sqrt(2.0) / 6.0)
 
 
-def test_union_distance_is_the_minimum():
-    both = Union(parts=(Ball(center=(0.0,), radius=0.1), Ball(center=(1.0,), radius=0.1)))
-    assert both.distance([0.5])[0] == pytest.approx(0.4)
-    assert both.distance([0.95])[0] == 0.0
-
-
 def test_dyadic_cover_counts():
     line = Box(lo=(0.0,), hi=(1.0,))
     assert line.dyadic_count(0.125) == 9  # the closed endpoint touches cell 8
@@ -98,8 +91,6 @@ def test_oversized_cover_is_rejected():
         lambda: CantorDust(level=25),
         lambda: CantorDust(level=2, lo=1.0, hi=0.0),
         lambda: CantorDust(level=2, dim=4),
-        lambda: Union(parts=()),
-        lambda: Union(parts=(Ball(center=(0.0,), radius=1.0), Ball(center=(0.0, 0.0), radius=1.0))),
     ],
 )
 def test_invalid_targets_are_rejected(build):
@@ -206,16 +197,6 @@ def test_capacity_is_monotone_under_inclusion():
     inner = capacity(kernel, Box(lo=(0.25,), hi=(0.75,)), n_cells=128, tol=1e-8)
     outer = capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=128, tol=1e-8)
     assert inner.capacity <= outer.capacity * (1.0 + 1e-6)
-
-
-def test_union_capacity_brackets():
-    kernel = riesz_kernel(0.3, 1)
-    a = Ball(center=(0.0,), radius=0.25)
-    b = Ball(center=(10.0,), radius=0.25)
-    cap_a = capacity(kernel, a, n_cells=64, tol=1e-8).capacity
-    union = capacity(kernel, Union(parts=(a, b)), n_cells=128, tol=1e-8).capacity
-    assert union >= cap_a * (1.0 - 0.03)
-    assert union <= 2.0 * cap_a * (1.0 + 0.03)
 
 
 def test_capacity_refines_with_the_mesh():

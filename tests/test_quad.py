@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 from anisohit import _quad
 
 
+def _fixed_quad(f, edges, order):
+    nodes, weights = _quad.panel_rule(np.asarray(edges, dtype=float), order)
+    return float(np.dot(f(nodes), weights))
+
+
 def test_gauss_rule_is_exact_on_polynomials():
     # An n-point rule integrates degree 2n-1 exactly; degree 2n must miss.
     x, w = _quad.gauss_rule(5)
@@ -35,16 +40,16 @@ def test_panel_rule_keeps_nodes_off_the_edges():
 
 
 def test_fixed_quad_matches_closed_form():
-    val = _quad.fixed_quad(np.exp, [0.0, 0.4, 1.0], order=16)
+    val = _fixed_quad(np.exp, [0.0, 0.4, 1.0], order=16)
     assert math.isclose(val, math.e - 1.0, rel_tol=1e-15)
 
 
 def test_geometric_edges_tame_an_endpoint_singularity():
     # int_0^1 x^(-1/2) dx = 2, singular only at the refined endpoint.  The
-    # innermost panel still hides mass ~ 2 * ratio^(levels/2), so the bound
+    # innermost panel still hides mass ~ 2 * 2^(-levels/2), so the bound
     # tracks the ladder depth rather than machine precision.
     edges = _quad.geometric_edges(0.0, 1.0, refine_lo=True, levels=60)
-    val = _quad.fixed_quad(lambda x: 1.0 / np.sqrt(x), edges, order=16)
+    val = _fixed_quad(lambda x: 1.0 / np.sqrt(x), edges, order=16)
     assert math.isclose(val, 2.0, rel_tol=1e-8)
 
 
@@ -57,7 +62,7 @@ def test_geometric_edges_cover_the_interval_exactly():
 def test_log_edges_validate_and_span():
     with pytest.raises(ValueError):
         _quad.log_edges(0.0, 1.0)
-    edges = _quad.log_edges(1e-6, 1.0, per_octave=1.0)
+    edges = _quad.log_edges(1e-6, 1.0)
     assert edges[0] == pytest.approx(1e-6, rel=1e-12)
     assert edges[-1] == pytest.approx(1.0, rel=1e-12)
     ratios = edges[1:] / edges[:-1]
@@ -87,6 +92,6 @@ def test_log_weighted_sum_survives_huge_exponents():
 )
 def test_power_integrals_on_geometric_panels(power, hi):
     edges = _quad.geometric_edges(0.0, hi, refine_lo=True, levels=60)
-    val = _quad.fixed_quad(lambda x: x ** power, edges, order=16)
+    val = _fixed_quad(lambda x: x ** power, edges, order=16)
     ref = hi ** (power + 1.0) / (power + 1.0)
     assert math.isclose(val, ref, rel_tol=1e-7)
