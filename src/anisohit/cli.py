@@ -120,45 +120,35 @@ class ConfigReader:
             raw[key] = value.strip()
         return cls(raw)
 
-    def _fetch(self, key: str, default):
+    def _get(self, key: str, default, convert, problem: str = ""):
+        """The converted value of ``key``, or ``default`` when it is absent.
+
+        ``problem`` completes the message for a value ``convert`` rejects;
+        it may name the value as ``{val}``.
+        """
         self._seen.add(key)
-        if key in self._raw:
-            return self._raw[key]
-        if default is _REQUIRED:
-            raise ConfigurationError(f"missing required config key {key!r}")
-        return default
+        if key not in self._raw:
+            if default is _REQUIRED:
+                raise ConfigurationError(f"missing required config key {key!r}")
+            return default
+        val = self._raw[key]
+        try:
+            return convert(val)
+        except ValueError:
+            raise ConfigurationError(f"config key {key!r} " + problem.format(val=repr(val))) from None
 
     def str(self, key: str, default=None) -> str | None:
-        val = self._fetch(key, default)
-        return val if val is None else str(val)
+        return self._get(key, default, str)
 
     def float(self, key: str, default=None) -> float | None:
-        val = self._fetch(key, default)
-        if val is None or isinstance(val, float):
-            return val
-        try:
-            return float(val)
-        except ValueError:
-            raise ConfigurationError(f"config key {key!r} must be a number, got {val!r}") from None
+        return self._get(key, default, float, "must be a number, got {val}")
 
     def int(self, key: str, default=None) -> int | None:
-        val = self._fetch(key, default)
-        if val is None or isinstance(val, int):
-            return val
-        try:
-            return int(val)
-        except ValueError:
-            raise ConfigurationError(f"config key {key!r} must be an integer, got {val!r}") from None
+        return self._get(key, default, int, "must be an integer, got {val}")
 
     def floats(self, key: str, default=None) -> list | None:
-        val = self._fetch(key, default)
-        if val is None or isinstance(val, list):
-            return val
-        try:
-            out = [float(tok) for tok in str(val).replace(";", ",").split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigurationError(f"config key {key!r} must be a comma list of numbers") from None
-        if not out:
+        out = self._get(key, default, _float_list, "must be a comma list of numbers")
+        if out == []:
             raise ConfigurationError(f"config key {key!r} is an empty list")
         return out
 
@@ -168,11 +158,11 @@ class ConfigReader:
             raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
 
-class _Required:
-    pass
+_REQUIRED = object()
 
 
-_REQUIRED = _Required()
+def _float_list(text: str) -> list:
+    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
 
 def _model_from(cfg: ConfigReader):
@@ -219,12 +209,14 @@ def _target_from(cfg: ConfigReader):
     if kind == "ball":
         return Ball(cfg.floats("target_center", _REQUIRED), cfg.float("target_radius", _REQUIRED))
     if kind == "points":
-        pts = [
-            [float(tok) for tok in chunk.split()]
-            for chunk in cfg.str("target_points", _REQUIRED).split(";")
-            if chunk.strip()
-        ]
-        return PointSet(np.asarray(pts))
+        text = cfg.str("target_points", _REQUIRED)
+        try:
+            pts = np.asarray([[float(tok) for tok in row.split()] for row in text.split(";") if row.strip()])
+        except ValueError:
+            raise ConfigurationError(
+                f"target_points must be rows of equally many numbers separated by ';', got {text!r}"
+            ) from None
+        return PointSet(pts)
     if kind == "cantor":
         return CantorDust(level=cfg.int("target_level", 12), dim=cfg.int("target_dim", 1))
     raise ConfigurationError(f"unknown target kind {kind!r}")
@@ -307,14 +299,14 @@ def _run_variance_scaling(cfg: ConfigReader, seed: int) -> list[ReportRow]:
 def _run_metric_equivalence(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     import numpy as np
 
-    from .heat import MetricEnvelope
+    from .heat import model_gauges
 
     model = _model_from(cfg)
     n_pairs = cfg.int("n_pairs", 1000)
     band_limit = cfg.float("band_limit", 50.0)
     cfg.reject_unknown()
 
-    env = MetricEnvelope.for_model(model)
+    system = model_gauges(model)
     rng = np.random.default_rng(seed)
     d = model.space_dim
     ts = rng.uniform(model.t0, model.t1, (n_pairs, 2))
@@ -322,8 +314,10 @@ def _run_metric_equivalence(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     ratios = np.empty(n_pairs)
     for i in range(n_pairs):
         dist = model.metric(ts[i, 0], xs[i, 0], ts[i, 1], xs[i, 1])
-        delta = env.value(ts[i, 0] - ts[i, 1], float(np.linalg.norm(xs[i, 0] - xs[i, 1])))
-        ratios[i] = dist * dist / delta
+        # against the gauge envelope q1(|t - s|)^2 + q2(|x - y|)^2
+        g1 = system.q1.value(abs(ts[i, 0] - ts[i, 1]))
+        g2 = system.q2.value(float(np.linalg.norm(xs[i, 0] - xs[i, 1])))
+        ratios[i] = dist * dist / (g1 * g1 + g2 * g2)
     band = float(ratios.max() / ratios.min())
     params = f"H={model.hurst:g};alpha={model.alpha:g};d={d};n={n_pairs}"
     return [_bound_row("metric-band", params, band, band_limit)]

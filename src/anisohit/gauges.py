@@ -128,20 +128,8 @@ class GaugeSpec:
     def value(self, tau):
         """q(tau) for tau in [0, domain_hi]."""
         t, scalar = _as_array(tau)
-        self._check_domain(t, allow_zero=True)
+        self._check_domain(t)
         out = self._value_array(t)
-        return _unwrap(out, scalar)
-
-    def derivative(self, tau):
-        """dq/dtau for tau in (0, domain_hi]."""
-        t, scalar = _as_array(tau)
-        self._check_domain(t, allow_zero=False)
-        if self.family == POWER:
-            out = self.nu * t ** (self.nu - 1.0)
-        else:
-            ell = np.log(self.log_scale / t)
-            out = t ** (self.nu - 1.0) * ell ** (self.delta - 1.0) * (self.nu * ell - self.delta)
-            out = np.maximum(out, 0.0)
         return _unwrap(out, scalar)
 
     def inverse(self, y):
@@ -201,10 +189,9 @@ class GaugeSpec:
         w = lambert_w_minus1_log(np.minimum(log_abs, -1.0))
         return log_c + w / ratio
 
-    def _check_domain(self, t: np.ndarray, *, allow_zero: bool) -> None:
-        lo_ok = t >= 0.0 if allow_zero else t > 0.0
-        if not np.all(lo_ok):
-            raise ConfigurationError("gauge argument must be positive")
+    def _check_domain(self, t: np.ndarray) -> None:
+        if not np.all(t >= 0.0):
+            raise ConfigurationError("gauge argument must be nonnegative")
         if np.isfinite(self.domain_hi) and np.any(t > self.domain_hi * (1.0 + _SLACK)):
             raise ConfigurationError(
                 f"gauge argument exceeds domain_hi = {self.domain_hi:.6g}"
@@ -411,14 +398,12 @@ def _monotone_hi_bisect(system: GaugeSystem) -> float:
 
 @dataclass(frozen=True)
 class GrowthReport:
-    """Diagnostic trace of the growth product v(tau) * g(tau) on a dyadic grid."""
+    """Verdict on the growth product v(tau) * g(tau) along a dyadic grid: its
+    value at the finest point and the log-log slope of its trailing quartile."""
 
     ok: bool
-    sup_value: float
     limit_estimate: float
     tail_slope: float
-    taus: np.ndarray
-    values: np.ndarray
     monotonicity: MonotonicityReport
 
 
@@ -463,16 +448,5 @@ def check_growth(system: GaugeSystem, grid_size: int = 200) -> GrowthReport:
         tail_slope = math.nan
     ok = mono.increasing_on_some_interval and finite and abs(tail_slope) < 0.05
 
-    with np.errstate(over="ignore"):
-        values = np.exp(seq_log)
-    sup_value = float(np.exp(np.max(seq_log))) if finite else math.inf
     limit_estimate = float(np.exp(seq_log[-1])) if finite else math.inf
-    return GrowthReport(
-        ok=ok,
-        sup_value=sup_value,
-        limit_estimate=limit_estimate,
-        tail_slope=tail_slope,
-        taus=np.exp(u_taus),
-        values=values,
-        monotonicity=mono,
-    )
+    return GrowthReport(ok=ok, limit_estimate=limit_estimate, tail_slope=tail_slope, monotonicity=mono)

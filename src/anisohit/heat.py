@@ -217,23 +217,25 @@ class HeatModel:
                 raise NumericalError("metric radicand is negative beyond rounding levels")
         return math.sqrt(dd)
 
-    def _p_half_edges(self, t: float, s: float, *, end_levels: int, kink_levels: int) -> np.ndarray:
-        """Panel edges on [0, (t+s)/2] in the p coordinate.
+    def _p_half_edges(
+        self, t: float, s: float, seam: float, cusp: bool, *, end_levels: int, kink_levels: int
+    ) -> np.ndarray:
+        """Panel edges on [0, seam] in the p coordinate.
 
         Geometric refinement tames the p^(2H-1) cusp at 0 and the weight
         kinks at min(t, s) and 2 min(t, s) when those fall in this half.
-        The midpoint itself is an artificial seam, not a kink, unless the
-        times are equal, in which case the nearest kink lands exactly there
-        and panel edges on both halves already meet on it.
+        The seam is refined too when ``cusp`` says the weight's cusp sits
+        on it; otherwise it is the midpoint, an artificial seam, not a kink,
+        unless the times are equal, in which case the nearest kink lands
+        exactly there and panel edges on both halves already meet on it.
         """
-        half = 0.5 * (t + s)
         inner = sorted({p for p in (min(t, s), 2.0 * min(t, s))
-                        if 1e-14 * half < p < half * (1.0 - 1e-14)})
+                        if 1e-14 * seam < p < seam * (1.0 - 1e-14)})
         pieces = []
         lo = 0.0
-        for k, brk in enumerate(inner + [half]):
+        for k, brk in enumerate(inner + [seam]):
             levels_lo = end_levels if k == 0 else kink_levels
-            levels_hi = kink_levels if brk < half else 0
+            levels_hi = kink_levels if brk < seam or cusp else 0
             pieces.append(
                 _quad.geometric_edges(
                     lo, brk, refine_lo=levels_lo > 0, refine_hi=levels_hi > 0,
@@ -243,26 +245,28 @@ class HeatModel:
             lo = brk
         return np.unique(np.concatenate(pieces))
 
-    def _r_half_edges(self, t: float, s: float, r_min: float, *, kink_levels: int) -> np.ndarray:
-        """Panel edges on [r_min, (t+s)/2] in the r = (t+s) - p coordinate.
+    def _r_half_edges(
+        self, t: float, s: float, r_min: float, seam: float, cusp: bool, *, kink_levels: int
+    ) -> np.ndarray:
+        """Panel edges on [r_min, seam] in the r = (t+s) - p coordinate.
 
         One panel per octave matches the power-law behaviour of the
         integrand over arbitrarily many decades; the anti-diagonal weight
         changes branch at r = |t - s| (an |r - w|^(2H-1) cusp) and at
         r = min(t, s), and both points get geometric refinement from each
-        side.  Edges closer than a few ulps are merged.
+        side, the seam included when ``cusp`` puts it on r = w.  Edges
+        closer than a few ulps are merged.
         """
-        half = 0.5 * (t + s)
         w = abs(t - s)
         inner = sorted({v for v in (w, min(t, s))
-                        if r_min * (1.0 + 1e-9) < v < half * (1.0 - 1e-14)})
-        brks = [r_min] + inner + [half]
+                        if r_min * (1.0 + 1e-9) < v < seam * (1.0 - 1e-14)})
+        brks = [r_min] + inner + [seam]
         pts: set[float] = set()
         for i in range(len(brks) - 1):
             lo, hi = brks[i], brks[i + 1]
             pts.update(_quad.log_edges(lo, hi))
             span = hi - lo
-            if i + 1 < len(brks) - 1:
+            if i + 1 < len(brks) - 1 or cusp:
                 pts.update(hi - span * 0.5 ** j for j in range(1, kink_levels + 1))
             if i > 0:
                 pts.update(lo + span * 0.5 ** j for j in range(1, kink_levels + 1))
@@ -320,9 +324,14 @@ class HeatModel:
         add the sliver [0, r_min] in closed form.  r_min is pushed low
         enough that on the sliver the spatial factor is constant (rho = 0),
         asymptotic (rho >= rho_floor), and the weight Taylor form is valid.
+        When the weight's cusp at r = w, p = 2 min(t, s) lies near the
+        midpoint (max(t, s) near 3 min(t, s)), the split moves onto the
+        cusp so that both halves refine toward it.
         """
         total = t + s
         w = abs(t - s)
+        cusp = abs(w - 0.5 * total) < 0.125 * total
+        p_seam, r_seam = (2.0 * min(t, s), w) if cusp else (0.5 * total, 0.5 * total)
         r_min = total * 2.0 ** -16
         if w > 0.0:
             r_min = min(r_min, 1e-3 * w)
@@ -331,7 +340,7 @@ class HeatModel:
         r_min = max(r_min, total * 1e-180)
 
         p_nodes, p_wgt = _quad.panel_rule(
-            self._p_half_edges(t, s, end_levels=end_levels, kink_levels=kink_levels), order
+            self._p_half_edges(t, s, p_seam, cusp, end_levels=end_levels, kink_levels=kink_levels), order
         )
         e = 2.0 * self.hurst - 1.0
         hi = np.minimum(p_nodes, 2.0 * t - p_nodes)
@@ -339,7 +348,7 @@ class HeatModel:
         left = p_wgt * (np.sign(hi) * np.abs(hi) ** e - np.sign(lo) * np.abs(lo) ** e) / e
 
         r_nodes, r_wgt = _quad.panel_rule(
-            self._r_half_edges(t, s, r_min, kink_levels=kink_levels), order
+            self._r_half_edges(t, s, r_min, r_seam, cusp, kink_levels=kink_levels), order
         )
         right = r_wgt * self._w_factor_r(r_nodes, t, s)
 
@@ -447,7 +456,7 @@ def _kummer_asymptotic(x: np.ndarray, a: float, c: float, terms: int = 12) -> np
     return coef * x ** (a - c) * acc
 
 
-# -- gauges and envelope ------------------------------------------------------
+# -- gauges --------------------------------------------------------------------
 
 
 def model_gauges(model: HeatModel) -> GaugeSystem:
@@ -469,42 +478,15 @@ def model_gauges(model: HeatModel) -> GaugeSystem:
     )
 
 
-@dataclass(frozen=True)
-class MetricEnvelope:
-    """Explicit two-sided envelope for the squared canonical metric.
-
-    ``value`` returns q1(|t-s|)^2 + q2(|x-y|)^2, with q2 carrying a square
-    root of a logarithm exactly on the critical line (beta = 1).
-    """
-
-    q1: GaugeSpec
-    q2: GaugeSpec
-    beta: int
-
-    @classmethod
-    def for_model(cls, model: HeatModel) -> "MetricEnvelope":
-        system = model_gauges(model)
-        return cls(q1=system.q1, q2=system.q2, beta=1 if model.is_critical else 0)
-
-    def value(self, dt, dx):
-        dt_arr = np.abs(np.asarray(dt, dtype=float))
-        dx_arr = np.abs(np.asarray(dx, dtype=float))
-        out = np.asarray(self.q1.value(dt_arr)) ** 2 + np.asarray(self.q2.value(dx_arr)) ** 2
-        return float(out) if np.asarray(dt).ndim == 0 and np.asarray(dx).ndim == 0 else out
-
-
 # -- assembled covariance ------------------------------------------------------
 
 
-def covariance_matrix(
-    model: HeatModel,
-    times: np.ndarray,
-    sites: np.ndarray,
-    *,
-    order: int = 12,
-    end_levels: int = 26,
-    kink_levels: int = 16,
-) -> np.ndarray:
+# The matrix path's quadrature rule: coarser than the scalar default
+# (16/44/36), which takes more than twice as long on a 64 x 64 grid.
+_MATRIX_RULE = {"order": 12, "end_levels": 26, "kink_levels": 16}
+
+
+def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Dense one-component covariance over the product grid times x sites.
 
     Rows are ordered time-major.  Each distinct time pair costs one
@@ -521,10 +503,7 @@ def covariance_matrix(
     cov = np.empty((nt * ns, nt * ns))
     for i in range(nt):
         for j in range(i, nt):
-            vals = model._cov_batch(
-                times[i], times[j], uniq,
-                order=order, end_levels=end_levels, kink_levels=kink_levels,
-            )
+            vals = model._cov_batch(times[i], times[j], uniq, **_MATRIX_RULE)
             block = vals[inverse]
             cov[i * ns : (i + 1) * ns, j * ns : (j + 1) * ns] = block
             if j > i:
@@ -540,10 +519,7 @@ class SlopeFit:
     """Least-squares line through log-log metric data."""
 
     slope: float
-    intercept: float
     rms_residual: float
-    lags: np.ndarray
-    values: np.ndarray
 
 
 def temporal_slope(model: HeatModel, *, t_ref: float = 0.5, lags=None) -> SlopeFit:
@@ -585,10 +561,4 @@ def _fit_loglog(lags: np.ndarray, vals: np.ndarray) -> SlopeFit:
     lx, ly = np.log(lags), np.log(vals)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    return SlopeFit(
-        slope=float(slope),
-        intercept=float(intercept),
-        rms_residual=float(np.sqrt(np.mean(resid**2))),
-        lags=lags,
-        values=vals,
-    )
+    return SlopeFit(slope=float(slope), rms_residual=float(np.sqrt(np.mean(resid**2))))

@@ -11,11 +11,11 @@ flops of a dense product), and each replicate's minimum distance to the
 target is taken on a view of the result.
 
 Hitting is decided against a target set's distance function: a replicate
-hits when some grid point's field vector comes within the chosen inflation
-of the set.  Raw (inflation 0) and mesh-inflated frequencies bracket the
-continuum hitting probability in the intended reading; the inflation radius
-is a sup-modulus heuristic, three envelope gauge increments times the usual
-sqrt(2 log n) factor.
+hits when some grid point's field vector comes within the inflation radius
+of the set.  Raw (radius 0) and mesh-inflated frequencies bracket the
+continuum hitting probability in the intended reading; the radius is always
+the mesh radius, a sup-modulus heuristic of three model-gauge increments
+times the usual sqrt(2 log n) factor.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     FactorizationError,
     InsufficientResolutionError,
 )
-from .heat import HeatModel, MetricEnvelope, covariance_matrix
+from .heat import HeatModel, covariance_matrix, model_gauges
 from .potential import PointSet, TargetSet
 
 _MAX_GRID_POINTS = 4096
@@ -190,12 +190,12 @@ def _estimate(hits: int, n: int) -> Estimate:
 
 def mesh_inflation(model: HeatModel, grid: SampleGrid) -> float:
     """Sup-modulus bound 3 (q1(dt) + q2(dx)) sqrt(2 log n) for grid gaps."""
-    env = MetricEnvelope.for_model(model)
+    system = model_gauges(model)
     dt, dx = grid.mesh_widths()
     n = grid.n_points
     if n < 2:
         return 0.0
-    return 3.0 * (env.q1.value(dt) + env.q2.value(dx)) * math.sqrt(2.0 * math.log(n))
+    return 3.0 * (system.q1.value(dt) + system.q2.value(dx)) * math.sqrt(2.0 * math.log(n))
 
 
 @dataclass(frozen=True)
@@ -231,12 +231,11 @@ def estimate_hit_prob(
     target: TargetSet,
     n_samples: int = 1000,
     seed: int = 0,
-    inflation_policy: float | str = "mesh",
 ) -> HitProbability:
-    """MC hitting probability of the target, raw and inflated, shared replicates.
+    """MC hitting probability of the target, raw and inflated by the mesh radius.
 
-    ``inflation_policy`` is either the string "mesh" (use the grid-modulus
-    radius) or an explicit nonnegative radius.
+    Both frequencies count the same replicates; the inflation radius is
+    ``mesh_inflation(model, grid)``.
     """
     if n_samples < 100:
         raise ConfigurationError("need n_samples >= 100 for a meaningful interval")
@@ -244,12 +243,7 @@ def estimate_hit_prob(
         raise ConfigurationError(
             f"target lives in dimension {target.dim}, field has {model.components} components"
         )
-    if inflation_policy == "mesh":
-        rho = mesh_inflation(model, grid)
-    else:
-        rho = float(inflation_policy)
-        if rho < 0.0:
-            raise ConfigurationError("inflation must be nonnegative")
+    rho = mesh_inflation(model, grid)
     factor = factor_covariance(model, grid)
     dmin = _min_distances(model, factor, target, n_samples, seed)
     raw_hits = int(np.sum(dmin <= 0.0))
@@ -269,10 +263,8 @@ class SmallBallReport:
     """OLS slope of log hit frequency against log ball radius."""
 
     slope: float
-    stderr: float
     eps: np.ndarray
     p_hat: np.ndarray
-    n: int
 
 
 def small_ball_slope(
@@ -305,12 +297,8 @@ def small_ball_slope(
             f"hit frequencies {p_hat.tolist()} leave (0,1); widen the radii, "
             "refine the grid, or raise n_samples"
         )
-    lx, ly = np.log(eps), np.log(p_hat)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    dof = max(len(eps) - 2, 1)
-    stderr = math.sqrt(float(resid @ resid) / dof / float(np.sum((lx - lx.mean()) ** 2)))
-    return SmallBallReport(slope=float(slope), stderr=stderr, eps=eps, p_hat=p_hat, n=n_samples)
+    slope = np.polyfit(np.log(eps), np.log(p_hat), 1)[0]
+    return SmallBallReport(slope=float(slope), eps=eps, p_hat=p_hat)
 
 
 def point_trend(

@@ -70,6 +70,8 @@ class Ball(TargetSet):
     def __post_init__(self):
         center = tuple(float(c) for c in np.atleast_1d(np.asarray(self.center, dtype=float)))
         object.__setattr__(self, "center", center)
+        if not all(math.isfinite(c) for c in center):
+            raise ConfigurationError("ball center must be finite")
         if not self.radius >= 0.0:
             raise ConfigurationError("radius must be nonnegative")
 
@@ -169,6 +171,8 @@ class PointSet(TargetSet):
             pts = pts.reshape(0, dim)
         elif pts.ndim == 1:
             pts = pts.reshape(-1, 1)
+        if not np.all(np.isfinite(pts)):
+            raise ConfigurationError("points must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "ambient_dim", pts.shape[1])
 
@@ -345,23 +349,18 @@ def kernel_from_gauge(system: GaugeSystem, ambient_dim: int | None = None) -> Po
 
 
 @dataclass(frozen=True)
-class GridMeasure:
-    """Probability weights on cell centers, the capacity minimizer."""
-
-    atoms: np.ndarray
-    weights: np.ndarray
-    cell_width: float
-
-
-@dataclass(frozen=True)
 class CapacityReport:
-    """Capacity value with its optimization certificate."""
+    """Capacity value with its optimization certificate.
+
+    ``weights`` is the minimizing probability vector on the target's cell
+    centers, or None when no cell can carry mass.
+    """
 
     capacity: float
     energy: float
     gap: float
     iterations: int
-    minimizer: GridMeasure | None
+    weights: np.ndarray | None
 
 
 def _halton(n: int, dim: int) -> np.ndarray:
@@ -440,13 +439,12 @@ def capacity(
     mu, energy, gap, iters = _simplex_min_quadratic(K, tol=tol, max_iter=max_iter)
     weights = np.zeros(len(centers))
     weights[keep] = mu
-    measure = GridMeasure(atoms=centers, weights=weights, cell_width=float(np.max(widths)))
     return CapacityReport(
         capacity=1.0 / energy,
         energy=float(energy),
         gap=float(gap),
         iterations=iters,
-        minimizer=measure,
+        weights=weights,
     )
 
 

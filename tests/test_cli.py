@@ -188,6 +188,9 @@ def test_blocked_output_directory_exits_2(tmp_path):
     assert main(["variance-scaling", "--config", cfg, "--out", str(blocked)]) == 2
 
 
+_HIT_MC_2D = "hurst = 0.75\ncomponents = 2\nn_times = 4\nn_sites = 4\nn_samples = 200\n"
+
+
 @pytest.mark.parametrize(
     "pipeline, text",
     [
@@ -198,8 +201,15 @@ def test_blocked_output_directory_exits_2(tmp_path):
         ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\nn_samples = 0\n"),
         ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\nn_samples = -5\n"),
         ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\neps = 0.2, nan, 0.05\nn_samples = 200\n"),
+        ("hit-mc", _HIT_MC_2D + "target = ball\ntarget_center = nan, 0\ntarget_radius = 0.5\n"),
+        ("hit-mc", _HIT_MC_2D + "target = points\ntarget_points = 0 nan; 1 1\n"),
+        ("hit-mc", _HIT_MC_2D + "target = points\ntarget_points = 0 x; 1 1\n"),
+        ("hit-mc", _HIT_MC_2D + "target = points\ntarget_points = 0 0; 1\n"),
     ],
-    ids=["beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative", "small-ball-eps-nan"],
+    ids=[
+        "beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative",
+        "small-ball-eps-nan", "ball-center-nan", "points-nan", "points-bad-token", "points-ragged",
+    ],
 )
 def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
     cfg = _write(tmp_path, text)

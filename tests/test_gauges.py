@@ -112,7 +112,7 @@ def test_power_gauge_evaluates_and_inverts():
     q = GaugeSpec.power(0.7)
     assert q.value(0.0) == 0.0
     assert q.value(2.0) == pytest.approx(2.0 ** 0.7, rel=1e-15)
-    assert q.derivative(2.0) == pytest.approx(0.7 * 2.0 ** -0.3, rel=1e-15)
+    assert math.exp(q._log_derivative(math.log(2.0))) == pytest.approx(0.7 * 2.0 ** -0.3, rel=1e-15)
     assert q.inverse(q.value(0.37)) == pytest.approx(0.37, rel=1e-14)
 
 
@@ -121,10 +121,10 @@ def test_power_log_gauge_matches_its_formula():
     tau = 0.005
     ref = tau ** 0.65 * math.log(2.0 / tau) ** 0.5
     assert q.value(tau) == pytest.approx(ref, rel=1e-15)
-    # derivative by the product rule
+    # derivative by the product rule, as the growth integrand takes it
     ell = math.log(2.0 / tau)
     ref_d = tau ** -0.35 * ell ** -0.5 * (0.65 * ell - 0.5)
-    assert q.derivative(tau) == pytest.approx(ref_d, rel=1e-14)
+    assert math.exp(q._log_derivative(math.log(tau))) == pytest.approx(ref_d, rel=1e-14)
 
 
 def test_power_log_default_domain_cap():
@@ -161,8 +161,6 @@ def test_gauge_domain_enforcement():
     q = GaugeSpec.power_log(0.65, 0.5, 2.0)
     with pytest.raises(ConfigurationError):
         q.value(q.domain_hi * 1.01)
-    with pytest.raises(ConfigurationError):
-        q.derivative(0.0)
     with pytest.raises(ConfigurationError):
         q.inverse(q.range_hi * 1.01)
     with pytest.raises(ConfigurationError):
@@ -336,7 +334,6 @@ def test_growth_report_reaches_the_power_limit():
     assert abs(rep.tail_slope) < 0.05
     limit = 1.0 / (nu * dim - 3.0)
     assert rep.limit_estimate == pytest.approx(limit, rel=1e-6)
-    assert rep.sup_value >= rep.limit_estimate
 
 
 def test_growth_report_rejects_a_non_polar_system():

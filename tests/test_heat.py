@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from anisohit.errors import ConfigurationError, NumericalError
 from anisohit.heat import (
     HeatModel,
-    MetricEnvelope,
     covariance_matrix,
     model_gauges,
     spatial_gauge_residual,
@@ -55,6 +54,42 @@ COV_ORACLE = [
 SMALL_GAP_METRIC = 0.4522741901675179745
 SMALL_GAP_COV = 0.3402129440887919614
 
+# d = 1, alpha = 0 covariances at t = 0.25, s = 0.25 * ratio, for ratios
+# around 3: there the weight's |r - w|^(2H-1) cusp, at p = 2 min(t, s), meets
+# the midpoint (t+s)/2 of the time integral.  Frozen from mpmath tanh-sinh
+# quadrature at 34 digits with breakpoints {0, t, 2t, s, t+s}.
+SEAM_ORACLE = [
+    # (hurst, rho, ratio) -> cov
+    (0.55, 0.0, 2.9, 0.083565779433416727104),
+    (0.55, 0.0, 2.99, 0.082430550951284324319),
+    (0.55, 0.0, 3, 0.082307683358073999711),
+    (0.55, 0.0, 3 * (1 - 1e-6), 0.082307720123305212284),
+    (0.55, 0.0, 3 * (1 + 1e-6), 0.082307646592899664187),
+    (0.55, 0.0, 3.01, 0.082185447678022283511),
+    (0.55, 0.0, 3.1, 0.08111284222976939726),
+    (0.55, 0.1, 2.9, 0.083183711646797777242),
+    (0.55, 0.1, 2.99, 0.082064839259100212159),
+    (0.55, 0.1, 3, 0.081943708015719762746),
+    (0.55, 0.1, 3 * (1 - 1e-6), 0.081943744262367806336),
+    (0.55, 0.1, 3 * (1 + 1e-6), 0.081943671769127208798),
+    (0.55, 0.1, 3.01, 0.081823193270421824123),
+    (0.55, 0.1, 3.1, 0.080765414824287768935),
+    (0.9, 0.0, 2.9, 0.083118045348787817328),
+    (0.9, 0.0, 2.99, 0.084130234886402519292),
+    (0.9, 0.0, 3, 0.084241396945547512683),
+    (0.9, 0.0, 3 * (1 - 1e-6), 0.084241363635276109348),
+    (0.9, 0.0, 3 * (1 + 1e-6), 0.084241430255795940073),
+    (0.9, 0.0, 3.01, 0.084352303770057855292),
+    (0.9, 0.0, 3.1, 0.085339213845207976714),
+    (0.9, 0.1, 2.9, 0.08226959362148790951),
+    (0.9, 0.1, 2.99, 0.083285592135330047601),
+    (0.9, 0.1, 3, 0.083397167274676340908),
+    (0.9, 0.1, 3 * (1 - 1e-6), 0.083397133840774394586),
+    (0.9, 0.1, 3 * (1 + 1e-6), 0.083397200708555135712),
+    (0.9, 0.1, 3.01, 0.083508485228766593222),
+    (0.9, 0.1, 3.1, 0.084499010905566894519),
+]
+
 
 def _model(h, d, al):
     return HeatModel(hurst=h, space_dim=d, alpha=al)
@@ -76,6 +111,12 @@ def test_covariance_matches_quadrature_oracle(h, d, al, t, s, rho, ref):
     y = np.zeros(d)
     y[0] = rho
     assert m.covariance(t, x, s, y) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("h,rho,ratio,ref", SEAM_ORACLE)
+def test_covariance_is_accurate_where_the_cusp_meets_the_midpoint(h, rho, ratio, ref):
+    m = _model(h, 1, 0.0)
+    assert m.covariance(0.25, [0.0], 0.25 * ratio, [rho]) == pytest.approx(ref, rel=1e-13)
 
 
 def test_small_separation_metric_matches_oracle():
@@ -279,20 +320,9 @@ def test_model_gauges_on_critical_line_carry_the_log_factor():
     assert system.q2.value(1e-4) > 1e-4
 
 
-def test_envelope_matches_gauge_squares():
-    env = MetricEnvelope.for_model(_model(0.6, 1, 0.0))
-    assert env.beta == 0
-    dt, dx = 0.01, 0.02
-    expected = env.q1.value(dt) ** 2 + env.q2.value(dx) ** 2
-    assert env.value(dt, dx) == pytest.approx(expected, rel=1e-14)
-    arr = env.value(np.array([dt, 2 * dt]), np.array([dx, dx]))
-    assert arr.shape == (2,)
-    assert arr[0] == pytest.approx(expected, rel=1e-14)
-
-
 def test_envelope_brackets_the_metric_off_critical():
     m = _model(0.6, 1, 0.0)
-    env = MetricEnvelope.for_model(m)
+    system = model_gauges(m)
     rng = np.random.default_rng(7)
     ratios = []
     for _ in range(12):
@@ -301,7 +331,7 @@ def test_envelope_brackets_the_metric_off_critical():
         x = np.array([rng.uniform(-1, 1)])
         y = np.array([rng.uniform(-1, 1)])
         dd = m.metric(t, x, s, y) ** 2
-        ee = env.value(abs(t - s), float(np.abs(x - y)[0]))
+        ee = system.q1.value(abs(t - s)) ** 2 + system.q2.value(float(np.abs(x - y)[0])) ** 2
         if ee > 0:
             ratios.append(dd / ee)
     ratios = np.array(ratios)

@@ -91,6 +91,8 @@ def test_oversized_cover_is_rejected():
         lambda: CantorDust(level=25),
         lambda: CantorDust(level=2, lo=1.0, hi=0.0),
         lambda: CantorDust(level=2, dim=4),
+        lambda: Ball(center=(np.nan, 0.0), radius=0.5),
+        lambda: PointSet(points=np.array([[0.0], [np.inf]])),
     ],
 )
 def test_invalid_targets_are_rejected(build):
@@ -173,7 +175,7 @@ def test_points_are_polar_for_singular_kernels():
     kernel = riesz_kernel(0.5, 1)
     report = capacity(kernel, PointSet(points=np.array([[0.3]])), n_cells=4)
     assert report.capacity == 0.0
-    assert report.minimizer is None
+    assert report.weights is None
     two = PointSet(points=np.array([[0.3], [0.7]]))
     assert capacity(kernel, two, n_cells=4).capacity == 0.0
 
@@ -212,7 +214,7 @@ def test_capacity_certificate_and_minimizer():
     report = capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=64, tol=1e-8)
     assert report.gap <= 1e-8 * report.energy
     assert report.capacity == pytest.approx(1.0 / report.energy, rel=1e-14)
-    w = report.minimizer.weights
+    w = report.weights
     assert np.all(w >= 0.0)
     assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
     # the equilibrium measure on an interval loads the endpoints
