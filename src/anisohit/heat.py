@@ -127,14 +127,18 @@ class HeatModel:
             / math.gamma(0.5 * self.space_dim)
         )
 
-    def _kummer(self, x: np.ndarray) -> np.ndarray:
-        """exp(-x) M(alpha/2, d/2, x) for x >= 0, uniformly accurate."""
+    def _kummer(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(-x) M(alpha/2, d/2, x) for x >= 0, uniformly accurate.
+
+        ``out`` may be ``x`` itself; each masked piece is read from x
+        before it is written back.
+        """
+        out = np.empty_like(x) if out is None else out
         if self.alpha == 0.0:
-            return np.exp(-x)
+            return np.exp(np.negative(x, out=out), out=out)
         from scipy import special  # only alpha > 0 models need 1F1
 
         a, c = 0.5 * self.alpha, 0.5 * self.space_dim
-        out = np.empty_like(x)
         small = x <= 400.0
         if np.any(small):
             out[small] = np.exp(-x[small]) * special.hyp1f1(a, c, x[small])
@@ -142,18 +146,20 @@ class HeatModel:
             out[~small] = _kummer_asymptotic(x[~small], a, c)
         return out
 
-    def _kummer_deficit(self, x: np.ndarray) -> np.ndarray:
+    def _kummer_deficit(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """1 - exp(-x) M(alpha/2, d/2, x) without cancellation for small x.
 
         By Kummer's transformation exp(-x) M(a, c, x) = 1F1(c-a; c; -x), so
         the deficit is an alternating series starting at (c-a)/c * x; summing
         it directly keeps full relative accuracy where the direct difference
-        would lose every digit.
+        would lose every digit.  ``out`` may be ``x`` itself, as for
+        ``_kummer``.
         """
+        out = np.empty_like(x) if out is None else out
         if self.alpha == 0.0:
-            return -np.expm1(-x)
+            np.negative(x, out=out)
+            return np.negative(np.expm1(out, out=out), out=out)
         a, c = 0.5 * self.alpha, 0.5 * self.space_dim
-        out = np.empty_like(x)
         big = x > 0.5
         if np.any(big):
             out[big] = 1.0 - self._kummer(x[big])
@@ -412,12 +418,15 @@ class HeatModel:
         end_levels: int = 44,
         kink_levels: int = 36,
         deficit: bool = False,
+        work: _Workspace | None = None,
     ) -> np.ndarray:
         """Covariance of one component at time pair (t, s), batched over rho.
 
         With ``deficit`` the spatial factor exp(-x) M is replaced by
         1 - exp(-x) M, which gives half the squared metric at equal times
-        without the cancellation of variance minus covariance.
+        without the cancellation of variance minus covariance.  The
+        (separations x nodes) spatial factor is formed in place in a buffer
+        taken from ``work``, or in a fresh one when it is None.
         """
         rhos = np.asarray(rhos, dtype=float)
         pos = rhos[rhos > 0.0]
@@ -426,15 +435,30 @@ class HeatModel:
             t, s, rho_floor, order=order, end_levels=end_levels, kink_levels=kink_levels
         )
         kernel_w = wgt * self._profile_const * r ** (-self.decay)
-        x = np.multiply.outer(rhos ** 2, 1.0 / (4.0 * r))
+        shape = (rhos.size, r.size)
+        x = np.empty(shape) if work is None else work.take(shape)
+        np.multiply.outer(rhos ** 2, 1.0 / (4.0 * r), out=x)
         spatial = self._kummer_deficit if deficit else self._kummer
-        vals = spatial(x) @ kernel_w
+        vals = spatial(x, out=x) @ kernel_w
         vals += self._tail(t, s, rhos, r_min, deficit)
         return 0.5 * self.noise_const * vals
 
     def _spatial_sq(self, t: float, rhos: np.ndarray) -> np.ndarray:
         """Squared metric at equal times, batched over separations."""
         return 2.0 * self._cov_batch(t, t, rhos, deficit=True)
+
+
+class _Workspace:
+    """One float buffer, grown on demand and reshaped for each rule."""
+
+    def __init__(self) -> None:
+        self._buf = np.empty(0)
+
+    def take(self, shape: tuple[int, int]) -> np.ndarray:
+        size = shape[0] * shape[1]
+        if self._buf.size < size:
+            self._buf = np.empty(size)
+        return self._buf[:size].reshape(shape)
 
 
 def _separation(x, y, space_dim: int) -> float:
@@ -492,6 +516,8 @@ def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray) ->
     Rows are ordered time-major.  Each distinct time pair costs one
     quadrature rule evaluated against the distinct site separations, so a
     64 x 64 grid needs 2080 rules rather than 8.4 million kernel calls.
+    All rules form their spatial factor in one reused buffer, so the loop
+    allocates no megabyte-sized temporaries.
     """
     times = np.asarray(times, dtype=float)
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
@@ -501,9 +527,10 @@ def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray) ->
     uniq, inverse = np.unique(np.round(seps, 12), return_inverse=True)
     inverse = inverse.reshape(ns, ns)
     cov = np.empty((nt * ns, nt * ns))
+    work = _Workspace()
     for i in range(nt):
         for j in range(i, nt):
-            vals = model._cov_batch(times[i], times[j], uniq, **_MATRIX_RULE)
+            vals = model._cov_batch(times[i], times[j], uniq, work=work, **_MATRIX_RULE)
             block = vals[inverse]
             cov[i * ns : (i + 1) * ns, j * ns : (j + 1) * ns] = block
             if j > i:

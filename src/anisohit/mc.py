@@ -1,14 +1,16 @@
 """Exact Gaussian sampling on space-time grids and hitting-probability MC.
 
 The field restricted to a finite grid is a Gaussian vector with the model's
-covariance matrix; one Cholesky factor per grid serves every replicate and
-component.  Randomness is counter-based (Philox) and keyed by
+covariance matrix; one Cholesky factor per grid, computed in place over the
+assembled matrix (LAPACK ``dpotrf``), serves every replicate and component.
+Randomness is counter-based (Philox) and keyed by
 (seed, replicate, component), so estimates do not depend on chunking or
 evaluation order, and any single replicate can be reproduced in isolation.
 Per chunk of replicates, the normals are drawn straight into the layout of
 one in-place triangular multiply by the factor (BLAS ``dtrmm``, half the
-flops of a dense product), and each replicate's minimum distance to the
-target is taken on a view of the result.
+flops of a dense product), and the minimum distance to the target is taken
+per replicate, with consecutive replicates stacked into one distance call of
+at most 4096 field points.
 
 Hitting is decided against a target set's distance function: a replicate
 hits when some grid point's field vector comes within the inflation radius
@@ -37,6 +39,9 @@ from .potential import PointSet, TargetSet
 _MAX_GRID_POINTS = 4096
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _CHUNK = 256
+# field points stacked into one target.distance call, so that tiny grids
+# do not pay one Python call per replicate
+_DISTANCE_POINTS = 4096
 
 
 # -- grids and samples -----------------------------------------------------------
@@ -104,29 +109,47 @@ class SampleGrid:
 def factor_covariance(model: HeatModel, grid: SampleGrid) -> np.ndarray:
     """Cholesky factor of the grid covariance, with a tiny-jitter fallback.
 
-    A clean factorization is attempted first; on failure the diagonal of a
-    copy is lifted by 1e-10 of its largest entry, once more by 1e-9, and
-    then the matrix is declared numerically singular.
+    The covariance is factored in place: LAPACK ``dpotrf`` overwrites the
+    lower triangle with the factor and reads nothing above it, so the
+    assembled matrix is the only (n x n) array held.  When a clean
+    factorization fails, the lower triangle is restored from the untouched
+    upper one and a saved diagonal, the diagonal is lifted by 1e-10 of its
+    largest entry, once more by 1e-9, and then the matrix is declared
+    numerically singular.  A lift is logged as a warning.  The result is
+    C-contiguous and lower triangular.
     """
+    from scipy.linalg.lapack import dpotrf
+
     grid.validate_window(model)
     cov = covariance_matrix(model, np.asarray(grid.times), grid.sites)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    diag = np.diag(cov)
+    n = cov.shape[0]
+    diag = np.diag(cov).copy()
     scale = float(np.max(diag))
-    lifted = cov.copy()
-    for jitter in (1e-10 * scale, 1e-9 * scale):
-        np.fill_diagonal(lifted, diag + jitter)
-        try:
-            return np.linalg.cholesky(lifted)
-        except np.linalg.LinAlgError:
-            continue
-    raise FactorizationError(
-        "covariance factorization failed after jitter escalation; the grid is "
-        "too close to degenerate"
-    )
+    for rel in (0.0, 1e-10, 1e-9):
+        if rel:
+            for i in range(1, n):
+                cov[i, :i] = cov[:i, i]
+            np.fill_diagonal(cov, diag + rel * scale)
+        # cov.T is the column-major view, whose upper triangle is cov's lower
+        lt, info = dpotrf(cov.T, lower=0, overwrite_a=1, clean=0)
+        if info == 0:
+            break
+    else:
+        raise FactorizationError(
+            "covariance factorization failed after jitter escalation; the grid is "
+            "too close to degenerate"
+        )
+    if rel:
+        import logging  # only a lifted factorization logs; clean runs skip the import
+
+        logging.getLogger("anisohit").warning(
+            "grid covariance is numerically singular; factored it with a diagonal "
+            "jitter of %.0e times the largest variance", rel
+        )
+    factor = lt.T  # cov itself, since dpotrf worked in place
+    for i in range(n - 1):
+        factor[i, i + 1 :] = 0.0
+    return factor
 
 
 def sample_fields(factor: np.ndarray, components: int, seed: int, reps: Sequence[int]) -> np.ndarray:
@@ -216,12 +239,17 @@ def _min_distances(
 ) -> np.ndarray:
     """Per-replicate minimum distance from the sampled field to the target."""
     comps = model.components
+    n = factor.shape[0]
+    group = max(1, _DISTANCE_POINTS // n)
     out = np.empty(n_samples)
     for start in range(0, n_samples, _CHUNK):
-        reps = range(start, min(start + _CHUNK, n_samples))
-        fields = sample_fields(factor, comps, seed, reps)
-        for rep, field in zip(reps, fields):
-            out[rep] = target.distance(field).min()
+        stop = min(start + _CHUNK, n_samples)
+        fields = sample_fields(factor, comps, seed, range(start, stop))
+        for lo in range(0, stop - start, group):
+            part = fields[lo : lo + group]
+            # one replicate reshapes to a view; several stack into a copy
+            dist = target.distance(part.reshape(-1, comps))
+            out[start + lo : start + lo + len(part)] = dist.reshape(len(part), n).min(axis=1)
     return out
 
 

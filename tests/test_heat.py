@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anisohit.errors import ConfigurationError, NumericalError
 from anisohit.heat import (
+    _MATRIX_RULE,
     HeatModel,
     covariance_matrix,
     model_gauges,
@@ -285,6 +286,24 @@ def test_covariance_matrix_blocks_match_pointwise_kernel():
                 for b, y in enumerate(sites):
                     ref = m.covariance(t, x, s, y)
                     assert cov[i * 2 + a, j * 2 + b] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_covariance_matrix_blocks_equal_the_scalar_kernel_bit_for_bit(alpha):
+    # the matrix reuses one buffer across rules; every block must still be
+    # exactly what a fresh-buffer call of the same kernel returns
+    m = _model(0.8, 1, alpha)
+    times = np.linspace(0.1, 1.0, 5)
+    sites = np.linspace(-1.0, 1.0, 4)[:, None]
+    cov = covariance_matrix(m, times, sites)
+    seps = np.abs(sites - sites.T)
+    uniq, inverse = np.unique(np.round(seps, 12), return_inverse=True)
+    inverse = inverse.reshape(4, 4)
+    for i in range(5):
+        for j in range(i, 5):
+            block = m._cov_batch(times[i], times[j], uniq, **_MATRIX_RULE)[inverse]
+            assert np.array_equal(cov[4 * i : 4 * i + 4, 4 * j : 4 * j + 4], block)
+            assert np.array_equal(cov[4 * j : 4 * j + 4, 4 * i : 4 * i + 4], block.T)
 
 
 def test_covariance_matrix_diagonal_is_the_variance():

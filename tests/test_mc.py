@@ -1,6 +1,8 @@
 """Grid sampling, keyed reproducibility, hitting estimates, Wilson intervals."""
 
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,15 +72,34 @@ def test_mesh_widths():
 # -- factorization and marginals ------------------------------------------------------
 
 
-def test_factor_reproduces_the_covariance():
+def test_factor_reproduces_the_covariance(caplog):
     m = _model()
     grid = SampleGrid.regular(m, 3, 4)
-    L = factor_covariance(m, grid)
+    with caplog.at_level(logging.WARNING, logger="anisohit"):
+        L = factor_covariance(m, grid)
+    assert caplog.records == []  # a clean grid needs no jitter
     from anisohit.heat import covariance_matrix
 
     cov = covariance_matrix(m, np.asarray(grid.times), grid.sites)
     assert np.max(np.abs(L @ L.T - cov)) <= 1e-8 * np.max(np.diag(cov))
     assert np.max(np.triu(L, 1)) == 0.0  # lower triangular
+    assert L.flags.c_contiguous
+
+
+def test_factor_holds_one_covariance_sized_array():
+    # assembly and factorization share the one (n x n) array that is
+    # returned; a copy anywhere would double the traced peak
+    m = _model()
+    grid = SampleGrid.regular(m, 32, 32)
+    factor_covariance(m, SampleGrid.regular(m, 2, 2))  # loads LAPACK untraced
+    tracemalloc.start()
+    try:
+        L = factor_covariance(m, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert L.flags.c_contiguous
+    assert peak <= 1.25 * L.nbytes
 
 
 def test_sampled_variance_matches_the_model():
@@ -110,16 +131,38 @@ def test_sampled_correlation_matches_the_model():
     assert abs(got - want) <= 4.0 * sd
 
 
-def test_jitter_lifts_a_singular_covariance(monkeypatch):
+def test_jitter_lifts_a_singular_covariance(monkeypatch, caplog):
     # the all-ones matrix is PSD of rank one: the clean factorization fails
     # and the first lift, 1e-10 of the largest variance, succeeds
     ones = np.ones((3, 3))
     monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: ones.copy())
     m = _model()
-    L = factor_covariance(m, SampleGrid.regular(m, 3, 1))
+    with caplog.at_level(logging.WARNING, logger="anisohit"):
+        L = factor_covariance(m, SampleGrid.regular(m, 3, 1))
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(ones)
     assert np.max(np.abs(L @ L.T - (ones + 1e-10 * np.eye(3)))) <= 1e-12
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING and record.name == "anisohit"
+    assert "1e-10 times the largest variance" in record.getMessage()
+
+
+def test_jitter_restores_a_triangle_overwritten_up_to_the_last_pivot(monkeypatch):
+    # a rank-4 Gram matrix pushed just below semidefinite at its last entry:
+    # the clean in-place factorization overwrites every column before the
+    # last pivot fails, so the lift must start again from the restored matrix
+    a = np.random.default_rng(3).standard_normal((5, 4))
+    cov = a @ a.T
+    scale = np.max(np.diag(cov))
+    cov[4, 4] -= 1e-13 * scale
+    from scipy.linalg.lapack import dpotrf
+
+    assert dpotrf(cov, lower=1)[1] == 5
+    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: cov.copy())
+    m = _model()
+    L = factor_covariance(m, SampleGrid.regular(m, 5, 1))
+    assert np.max(np.abs(np.triu(L, 1))) == 0.0
+    assert np.max(np.abs(L @ L.T - (cov + 1e-10 * scale * np.eye(5)))) <= 1e-12
 
 
 def test_indefinite_covariance_raises(monkeypatch):
