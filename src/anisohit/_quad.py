@@ -1,9 +1,11 @@
 """Panel-based Gauss-Legendre quadrature.
 
-Every integral in this package is one dimensional, smooth away from the
-endpoints, and at worst carries an integrable power singularity at one or
-both ends.  Composite Gauss rules on a geometrically refined partition
-handle that shape well and, unlike ``scipy.integrate.quad``, keep the
+Every integral in this package is one dimensional.  The covariance
+integrals behave like powers of their variable between a few kinks, with
+at worst an integrable power singularity at an end; ``panel_edges`` gives
+them one partition, a panel per octave halved toward each kink.  The
+growth integrals of ``gauges`` are smooth in log scale and take even
+panels.  Unlike ``scipy.integrate.quad``, composite Gauss rules keep the
 integrand calls vectorized; the covariance code evaluates one rule against
 a whole batch of spatial separations at once.
 """
@@ -42,58 +44,33 @@ def panel_rule(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes.ravel(), weights.ravel()
 
 
-def geometric_edges(
-    a: float,
-    b: float,
-    *,
-    refine_lo: bool = False,
-    refine_hi: bool = False,
-    levels: int = 30,
-    interior: int = 4,
-) -> np.ndarray:
-    """Panel edges on [a, b], geometrically refined toward flagged endpoints.
+def panel_edges(lo: float, kinks: tuple[float, ...], hi: float, *, tip: bool, levels: int) -> np.ndarray:
+    """Panel edges on [lo, hi] with 0 < lo < hi for power-law integrands.
 
-    ``levels`` halvings push the innermost panel edge to ``2**-(levels + 1)``
-    times the interval length from the endpoint, which tames integrable
-    power singularities there.  The middle of the interval gets
-    ``interior`` evenly spaced panels.
+    The kinks strictly inside (lo, hi) split the range into segments.  Each
+    segment gets one panel per factor of two, which follows a power of the
+    variable over any number of decades, plus ``levels`` halvings toward
+    every kink from both sides, and toward ``hi`` as well when ``tip`` says
+    the integrand has a kink there.  Edges closer than a few ulps are
+    merged.  The end edges are lo and hi up to the rounding of exp(log(.)).
     """
-    if not b > a:
-        raise ValueError("need b > a")
-    length = b - a
-    lo_offsets = []
-    if refine_lo:
-        lo_offsets = [length * 0.5 ** (k + 1) for k in range(levels, 0, -1)]
-    hi_offsets = []
-    if refine_hi:
-        hi_offsets = [length * (1.0 - 0.5 ** (k + 1)) for k in range(1, levels + 1)]
-    mid_lo = lo_offsets[-1] if lo_offsets else 0.0
-    mid_hi = hi_offsets[0] if hi_offsets else length
-    mid = np.linspace(mid_lo, mid_hi, max(interior, 1) + 1)[1:-1].tolist()
-    offsets = [0.0] + lo_offsets + mid + hi_offsets + [length]
-    edges = a + np.asarray(offsets)
-    edges[0], edges[-1] = a, b
-    edges = np.unique(edges)
-    # Drop panels that collapsed to a few ulps; they only create 0/0 noise.
-    spacing = 8.0 * np.finfo(float).eps * max(abs(a), abs(b), length)
-    keep = np.concatenate([[True], np.diff(edges) > spacing])
-    keep[-1] = True
-    edges = edges[keep]
-    if edges[-2] >= b - spacing and len(edges) > 2:
-        edges = np.delete(edges, -2)
-    return edges
-
-
-def log_edges(a: float, b: float) -> np.ndarray:
-    """Geometrically spaced panel edges on [a, b] with 0 < a < b.
-
-    Suited to integrands that behave like powers of the variable over many
-    orders of magnitude.  One panel is used per factor of two.
-    """
-    if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
-    n = max(1, int(np.ceil(np.log2(b / a))))
-    return np.exp(np.linspace(np.log(a), np.log(b), n + 1))
+    if not 0 < lo < hi:
+        raise ValueError("need 0 < lo < hi")
+    inner = sorted({v for v in kinks if lo * (1.0 + 1e-9) < v < hi * (1.0 - 1e-14)})
+    brks = [lo] + inner + [hi]
+    pts: set[float] = set()
+    for i in range(len(brks) - 1):
+        a, b = brks[i], brks[i + 1]
+        n = max(1, int(np.ceil(np.log2(b / a))))
+        pts.update(np.exp(np.linspace(np.log(a), np.log(b), n + 1)))
+        span = b - a
+        if i + 1 < len(brks) - 1 or tip:
+            pts.update(b - span * 0.5 ** j for j in range(1, levels + 1))
+        if i > 0:
+            pts.update(a + span * 0.5 ** j for j in range(1, levels + 1))
+    edges = np.array(sorted(pts))
+    keep = np.diff(edges) > 16.0 * np.finfo(float).eps * edges[1:]
+    return np.concatenate([edges[:1], edges[1:][keep]])
 
 
 def log_weighted_sum(log_terms: np.ndarray, weights: np.ndarray) -> float:

@@ -31,6 +31,7 @@ POWER_LOG = "power-log"
 _SLACK = 1e-12
 # gauge values within this many ulps of the top of the range invert to its end
 _TOP_ULPS = 2.0
+_PANELS_PER_UNIT = 6.0  # Gauss panels per unit of log scale in growth integrals
 
 
 def lambert_w_minus1_log(log_abs_x):
@@ -302,11 +303,11 @@ class GaugeSystem:
             + u
         )
 
-    def _log_growth_segment(self, u_lo: float, u_hi: float, *, per_unit: float = 6.0) -> float:
+    def _log_growth_segment(self, u_lo: float, u_hi: float) -> float:
         """log of the growth integral over [exp(u_lo), exp(u_hi)]."""
         if not u_hi > u_lo:
             return -math.inf
-        n_panels = max(2, int(math.ceil((u_hi - u_lo) * per_unit)))
+        n_panels = max(2, int(math.ceil((u_hi - u_lo) * _PANELS_PER_UNIT)))
         edges = np.linspace(u_lo, u_hi, n_panels + 1)
         nodes, weights = _quad.panel_rule(edges, 16)
         return _quad.log_weighted_sum(self._log_growth_integrand(nodes), weights)

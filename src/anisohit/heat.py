@@ -16,15 +16,16 @@ exp(-rho^2/4r) M(alpha/2, d/2, rho^2/4r) with Kummer's M.  For alpha = 0
 the Kummer factor is 1 and S is the Gaussian heat profile; only alpha > 0
 models evaluate M, and only they load ``scipy.special``.  The integrand
 is smooth except for power kinks at p in {s, t, 2s, 2t} and integrable
-endpoint singularities, so panelled Gauss rules with geometric refinement
-evaluate it essentially to machine precision, vectorized over a whole
-batch of spatial separations at once.  The upper half of the range is
-integrated in the variable r = t + s - p directly, because near that
-endpoint r is the physically meaningful quantity and forming it by
-subtraction would waste every digit; the last sliver [0, r_min], where
-the integrand is a bare power times a flat or asymptotic spatial factor,
-is added in closed form.  Without that care the truncation error scales
-like r_min^(2H - b), which for small 2H - b is not small at all.
+endpoint singularities, so panelled Gauss rules on one partition (a panel
+per octave, halved toward each kink) evaluate it to near machine
+precision, vectorized over a whole batch of spatial separations at once.
+The upper half of the range is integrated in the variable r = t + s - p
+directly, because near that endpoint r is the physically meaningful
+quantity and forming it by subtraction would waste every digit; the last
+sliver [0, r_min], where the integrand is a bare power times a flat or
+asymptotic spatial factor, is added in closed form.  Without that care the
+truncation error scales like r_min^(2H - b), which for small 2H - b is not
+small at all.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import ConfigurationError, NumericalError
 from .gauges import GaugeSpec, GaugeSystem
 
 _CRITICAL_TOL = 1e-12
+_KUMMER_TERMS = 12  # of the large-x series in _kummer_asymptotic
 
 
 @dataclass(frozen=True)
@@ -223,63 +225,6 @@ class HeatModel:
                 raise NumericalError("metric radicand is negative beyond rounding levels")
         return math.sqrt(dd)
 
-    def _p_half_edges(
-        self, t: float, s: float, seam: float, cusp: bool, *, end_levels: int, kink_levels: int
-    ) -> np.ndarray:
-        """Panel edges on [0, seam] in the p coordinate.
-
-        Geometric refinement tames the p^(2H-1) cusp at 0 and the weight
-        kinks at min(t, s) and 2 min(t, s) when those fall in this half.
-        The seam is refined too when ``cusp`` says the weight's cusp sits
-        on it; otherwise it is the midpoint, an artificial seam, not a kink,
-        unless the times are equal, in which case the nearest kink lands
-        exactly there and panel edges on both halves already meet on it.
-        """
-        inner = sorted({p for p in (min(t, s), 2.0 * min(t, s))
-                        if 1e-14 * seam < p < seam * (1.0 - 1e-14)})
-        pieces = []
-        lo = 0.0
-        for k, brk in enumerate(inner + [seam]):
-            levels_lo = end_levels if k == 0 else kink_levels
-            levels_hi = kink_levels if brk < seam or cusp else 0
-            pieces.append(
-                _quad.geometric_edges(
-                    lo, brk, refine_lo=levels_lo > 0, refine_hi=levels_hi > 0,
-                    levels=max(levels_lo, levels_hi, 1), interior=3,
-                )
-            )
-            lo = brk
-        return np.unique(np.concatenate(pieces))
-
-    def _r_half_edges(
-        self, t: float, s: float, r_min: float, seam: float, cusp: bool, *, kink_levels: int
-    ) -> np.ndarray:
-        """Panel edges on [r_min, seam] in the r = (t+s) - p coordinate.
-
-        One panel per octave matches the power-law behaviour of the
-        integrand over arbitrarily many decades; the anti-diagonal weight
-        changes branch at r = |t - s| (an |r - w|^(2H-1) cusp) and at
-        r = min(t, s), and both points get geometric refinement from each
-        side, the seam included when ``cusp`` puts it on r = w.  Edges
-        closer than a few ulps are merged.
-        """
-        w = abs(t - s)
-        inner = sorted({v for v in (w, min(t, s))
-                        if r_min * (1.0 + 1e-9) < v < seam * (1.0 - 1e-14)})
-        brks = [r_min] + inner + [seam]
-        pts: set[float] = set()
-        for i in range(len(brks) - 1):
-            lo, hi = brks[i], brks[i + 1]
-            pts.update(_quad.log_edges(lo, hi))
-            span = hi - lo
-            if i + 1 < len(brks) - 1 or cusp:
-                pts.update(hi - span * 0.5 ** j for j in range(1, kink_levels + 1))
-            if i > 0:
-                pts.update(lo + span * 0.5 ** j for j in range(1, kink_levels + 1))
-        edges = np.array(sorted(pts))
-        keep = np.diff(edges) > 16.0 * np.finfo(float).eps * edges[1:]
-        return np.concatenate([edges[:1], edges[1:][keep]])
-
     def _w_factor_r(self, r: np.ndarray, t: float, s: float) -> np.ndarray:
         """Anti-diagonal weight W at p = (t+s) - r, cancellation-free in r.
 
@@ -299,7 +244,7 @@ class HeatModel:
             rg = r[generic]
             hi = np.minimum((t + s) - rg, rg + (t - s))
             lo = np.maximum(rg - (t + s), (t - s) - rg)
-            out[generic] = (np.sign(hi) * np.abs(hi) ** e - np.sign(lo) * np.abs(lo) ** e) / e
+            out[generic] = _clip_mass(hi, lo, e) / e
         rest = ~generic
         if np.any(rest):
             rr = r[rest]
@@ -333,11 +278,18 @@ class HeatModel:
         When the weight's cusp at r = w, p = 2 min(t, s) lies near the
         midpoint (max(t, s) near 3 min(t, s)), the split moves onto the
         cusp so that both halves refine toward it.
+
+        Both halves take the one ``_quad.panel_edges`` partition: a panel
+        per octave, halved ``kink_levels`` times toward the weight's kinks
+        at p in {m, 2m} and r in {w, m}, with m = min(t, s) and w = |t - s|.
+        The octaves of the p half stop at m 2^-(end_levels + 1); the single
+        panel below that floor carries the integrable p^(2H-1) cusp at 0.
         """
         total = t + s
         w = abs(t - s)
+        m = min(t, s)
         cusp = abs(w - 0.5 * total) < 0.125 * total
-        p_seam, r_seam = (2.0 * min(t, s), w) if cusp else (0.5 * total, 0.5 * total)
+        p_seam, r_seam = (2.0 * m, w) if cusp else (0.5 * total, 0.5 * total)
         r_min = total * 2.0 ** -16
         if w > 0.0:
             r_min = min(r_min, 1e-3 * w)
@@ -345,17 +297,16 @@ class HeatModel:
             r_min = min(r_min, rho_floor ** 2 / 2560.0)
         r_min = max(r_min, total * 1e-180)
 
-        p_nodes, p_wgt = _quad.panel_rule(
-            self._p_half_edges(t, s, p_seam, cusp, end_levels=end_levels, kink_levels=kink_levels), order
-        )
+        p_floor = m * 0.5 ** (end_levels + 1)
+        p_edges = _quad.panel_edges(p_floor, (m, 2.0 * m), p_seam, tip=cusp, levels=kink_levels)
+        p_nodes, p_wgt = _quad.panel_rule(np.concatenate([[0.0], p_edges]), order)
         e = 2.0 * self.hurst - 1.0
         hi = np.minimum(p_nodes, 2.0 * t - p_nodes)
         lo = np.maximum(-p_nodes, p_nodes - 2.0 * s)
-        left = p_wgt * (np.sign(hi) * np.abs(hi) ** e - np.sign(lo) * np.abs(lo) ** e) / e
+        left = p_wgt * _clip_mass(hi, lo, e) / e
 
-        r_nodes, r_wgt = _quad.panel_rule(
-            self._r_half_edges(t, s, r_min, r_seam, cusp, kink_levels=kink_levels), order
-        )
+        r_edges = _quad.panel_edges(r_min, (w, m), r_seam, tip=cusp, levels=kink_levels)
+        r_nodes, r_wgt = _quad.panel_rule(r_edges, order)
         right = r_wgt * self._w_factor_r(r_nodes, t, s)
 
         r_all = np.concatenate([total - p_nodes, r_nodes])
@@ -469,12 +420,17 @@ def _separation(x, y, space_dim: int) -> float:
     return float(np.linalg.norm(xv - yv))
 
 
-def _kummer_asymptotic(x: np.ndarray, a: float, c: float, terms: int = 12) -> np.ndarray:
+def _clip_mass(hi: np.ndarray, lo: np.ndarray, e: float) -> np.ndarray:
+    """sign(hi) |hi|^e - sign(lo) |lo|^e: e times the clipped weight W."""
+    return np.sign(hi) * np.abs(hi) ** e - np.sign(lo) * np.abs(lo) ** e
+
+
+def _kummer_asymptotic(x: np.ndarray, a: float, c: float) -> np.ndarray:
     """Large-x form of exp(-x) M(a, c, x) ~ Gamma(c)/Gamma(a) x^(a-c) series."""
     coef = math.gamma(c) / math.gamma(a)
     term = np.ones_like(x)
     acc = np.ones_like(x)
-    for k in range(terms):
+    for k in range(_KUMMER_TERMS):
         term = term * (c - a + k) * (1.0 - a + k) / ((k + 1.0) * x)
         acc = acc + term
     return coef * x ** (a - c) * acc

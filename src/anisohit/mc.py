@@ -192,7 +192,8 @@ class Estimate:
     ci_hi: float
 
 
-def wilson_interval(hits: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    z = _Z95
     if not 0 <= hits <= n or n <= 0:
         raise ConfigurationError("need 0 <= hits <= n with n > 0")
     p = hits / n

@@ -27,6 +27,8 @@ from .errors import ConfigurationError, KernelError
 from .gauges import GaugeSystem, check_monotonicity
 
 _MAX_COVER_CELLS = 1 << 22
+_CELL_PAIRS = 64  # quasi-random pairs averaged for a cell's self-energy
+_FW_MAX_ITER = 200_000  # Frank-Wolfe iteration cap of the capacity solve
 
 
 # -- target sets ---------------------------------------------------------------
@@ -384,9 +386,9 @@ def _halton(n: int, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _unit_pair_seps(dim: int, n_pairs: int = 64) -> np.ndarray:
+def _unit_pair_seps(dim: int) -> np.ndarray:
     """Fixed quasi-random intra-cell pair separations for a unit cell."""
-    u = _halton(n_pairs, 2 * dim)
+    u = _halton(_CELL_PAIRS, 2 * dim)
     seps = np.linalg.norm(u[:, :dim] - u[:, dim:], axis=1)
     return seps[seps > 0.0]
 
@@ -396,7 +398,6 @@ def capacity(
     target: TargetSet,
     n_cells: int = 256,
     tol: float = 1e-6,
-    max_iter: int = 200_000,
 ) -> CapacityReport:
     """Generalized capacity of the target under the given kernel.
 
@@ -436,7 +437,7 @@ def capacity(
     if not np.all(np.isfinite(K)):
         raise KernelError("kernel produced non-finite values at positive distances")
 
-    mu, energy, gap, iters = _simplex_min_quadratic(K, tol=tol, max_iter=max_iter)
+    mu, energy, gap, iters = _simplex_min_quadratic(K, tol=tol, max_iter=_FW_MAX_ITER)
     weights = np.zeros(len(centers))
     weights[keep] = mu
     return CapacityReport(

@@ -92,6 +92,42 @@ SEAM_ORACLE = [
 ]
 
 
+# d = 1, alpha = 0 covariances at s = t * ratio for the separations
+# RULE_RHOS, taken in one batch as covariance_matrix takes its separations:
+# equal, generic, ratio-3 and near-equal time pairs.  Frozen from mpmath
+# tanh-sinh quadrature at 40 digits in r = (t+s) - p with breakpoints
+# {0, |t-s|, min, max, t+s}; at 60 digits the values agree to 5e-20.
+RULE_RHOS = (0.0, 1e-2, 0.3)
+RULE_ORACLE = [
+    # (hurst, t, ratio) -> cov at each of RULE_RHOS
+    (0.55, 0.5, 1.0, (0.24829506030349537476, 0.24731112102261809757, 0.19839837881291015206)),
+    (0.55, 0.2, 4.5, (0.060228457541797869765, 0.060226121402828274842, 0.058293954291068970889)),
+    (0.55, 0.25, 3.0, (0.082307683358073999711, 0.082303964122963775505, 0.07920371832181415423)),
+    (0.55, 0.1106, 1 + 1e-8, (0.10042330992870629203, 0.099448730518076717558, 0.057763249357045651145)),
+    (0.55, 0.1106, 1 + 1e-5, (0.10035723147633307253, 0.099449010378866346161, 0.057763519199458953405)),
+    (0.55, 0.1106, 1 + 1e-3, (0.099385517963754075406, 0.099029655327476868891, 0.057790243520112747356)),
+    (0.7, 0.5, 1.0, (0.18193382820887117049, 0.18183377340228617263, 0.15870088672072423597)),
+    (0.7, 0.2, 4.5, (0.064392011131802590086, 0.064387451252870009707, 0.060983089996551329262)),
+    (0.7, 0.25, 3.0, (0.082719280968097871591, 0.082713135827294198099, 0.078055763600046424975)),
+    (0.7, 0.1106, 1 + 1e-8, (0.046797220074334381473, 0.046705392624935981887, 0.030719117750964192446)),
+    (0.7, 0.1106, 1 + 1e-5, (0.046796616897170958274, 0.046705599784754379828, 0.030719303377175055918)),
+    (0.7, 0.1106, 1 + 1e-3, (0.046766845545738466966, 0.046699101207138531275, 0.030737681597029832451)),
+    (0.9, 0.5, 1.0, (0.12907592315823993637, 0.12905769649030261208, 0.11785410751558993765)),
+    (0.9, 0.2, 4.5, (0.073799077525691157754, 0.07379112644752494948, 0.06816153525120228769)),
+    (0.9, 0.25, 3.0, (0.084241396945547512683, 0.084232353774107958368, 0.077743383984624478199)),
+    (0.9, 0.1106, 1 + 1e-8, (0.018157911793237233811, 0.018146640012418353485, 0.012980395183899597103)),
+    (0.9, 0.1106, 1 + 1e-5, (0.01815802811015813993, 0.018146757848848083593, 0.012980497835630425234)),
+    (0.9, 0.1106, 1 + 1e-3, (0.018169080315698851176, 0.018158020513962410938, 0.012990666266551052622)),
+]
+# Bounds on the relative error over RULE_ORACLE, per hurst: each rule's
+# measured worst case, rounded up.  The matrix rule's worst is t = 0.1106,
+# ratio 1 + 1e-5, rho = 0 (4.0e-8, 8.1e-10 and 6.8e-13 at H = 0.55, 0.7 and
+# 0.9); the scalar rule's is 2.7e-13 at ratio 1 + 1e-8 for H = 0.55 and
+# below 2e-15 otherwise.
+MATRIX_RULE_TOL = {0.55: 5e-8, 0.7: 1e-9, 0.9: 1e-12}
+SCALAR_RULE_TOL = {0.55: 5e-13, 0.7: 2e-15, 0.9: 3e-15}
+
+
 def _model(h, d, al):
     return HeatModel(hurst=h, space_dim=d, alpha=al)
 
@@ -118,6 +154,18 @@ def test_covariance_matches_quadrature_oracle(h, d, al, t, s, rho, ref):
 def test_covariance_is_accurate_where_the_cusp_meets_the_midpoint(h, rho, ratio, ref):
     m = _model(h, 1, 0.0)
     assert m.covariance(0.25, [0.0], 0.25 * ratio, [rho]) == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("h,t,ratio,refs", RULE_ORACLE)
+def test_matrix_rule_matches_quadrature_oracle(h, t, ratio, refs):
+    got = _model(h, 1, 0.0)._cov_batch(t, t * ratio, np.array(RULE_RHOS), **_MATRIX_RULE)
+    np.testing.assert_allclose(got, refs, rtol=MATRIX_RULE_TOL[h], atol=0.0)
+
+
+@pytest.mark.parametrize("h,t,ratio,refs", RULE_ORACLE)
+def test_scalar_rule_matches_quadrature_oracle(h, t, ratio, refs):
+    got = _model(h, 1, 0.0)._cov_batch(t, t * ratio, np.array(RULE_RHOS))
+    np.testing.assert_allclose(got, refs, rtol=SCALAR_RULE_TOL[h], atol=0.0)
 
 
 def test_small_separation_metric_matches_oracle():
@@ -371,6 +419,17 @@ def test_temporal_slope_spot_check():
 def test_spatial_slope_spot_check():
     fit = spatial_slope(_model(0.6, 1, 0.0))
     assert fit.slope == pytest.approx(0.7, abs=0.03)
+
+
+# Known defect: for these H the metric's |x|^(2 min(1, a)) and |x|^(2 max(1, a))
+# terms, a = 2H - 1/2, cross over inside the fit window 1e-4..1e-1, so the
+# fitted slope misses min(1, a) by more than the rates pipeline's 0.03.
+# Strict, so that a fix of the estimator has to remove the marker.
+@pytest.mark.xfail(strict=True, reason="power-term crossover inside the spatial fit window")
+@pytest.mark.parametrize("h", [0.70, 0.72, 0.74, 0.76, 0.78, 0.80])
+def test_spatial_slope_near_the_critical_line(h):
+    m = _model(h, 1, 0.0)
+    assert spatial_slope(m).slope == pytest.approx(min(1.0, 2.0 * h - 0.5), abs=0.03)
 
 
 def test_log_corrected_gauge_fits_critical_spatial_data_better():
