@@ -51,8 +51,11 @@ def panel_edges(lo: float, kinks: tuple[float, ...], hi: float, *, tip: bool, le
     segment gets one panel per factor of two, which follows a power of the
     variable over any number of decades, plus ``levels`` halvings toward
     every kink from both sides, and toward ``hi`` as well when ``tip`` says
-    the integrand has a kink there.  Edges closer than a few ulps are
-    merged.  The end edges are lo and hi up to the rounding of exp(log(.)).
+    the integrand has a kink there.  A segment [a, b] halves toward b in
+    steps of b - a, and toward its left kink a in steps of min(b - a, a),
+    so a kink far below b gets its halvings at its own scale.  Edges closer
+    than a few ulps are merged.  The end edges are lo and hi up to the
+    rounding of exp(log(.)).
     """
     if not 0 < lo < hi:
         raise ValueError("need 0 < lo < hi")
@@ -67,7 +70,7 @@ def panel_edges(lo: float, kinks: tuple[float, ...], hi: float, *, tip: bool, le
         if i + 1 < len(brks) - 1 or tip:
             pts.update(b - span * 0.5 ** j for j in range(1, levels + 1))
         if i > 0:
-            pts.update(a + span * 0.5 ** j for j in range(1, levels + 1))
+            pts.update(a + min(span, a) * 0.5 ** j for j in range(1, levels + 1))
     edges = np.array(sorted(pts))
     keep = np.diff(edges) > 16.0 * np.finfo(float).eps * edges[1:]
     return np.concatenate([edges[:1], edges[1:][keep]])

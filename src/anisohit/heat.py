@@ -16,9 +16,9 @@ exp(-rho^2/4r) M(alpha/2, d/2, rho^2/4r) with Kummer's M.  For alpha = 0
 the Kummer factor is 1 and S is the Gaussian heat profile; only alpha > 0
 models evaluate M, and only they load ``scipy.special``.  The integrand
 is smooth except for power kinks at p in {s, t, 2s, 2t} and integrable
-endpoint singularities, so panelled Gauss rules on one partition (a panel
-per octave, halved toward each kink) evaluate it to near machine
-precision, vectorized over a whole batch of spatial separations at once.
+endpoint singularities, so one panelled Gauss rule (a panel per octave,
+halved toward each kink to a depth set by H) evaluates it to near machine
+precision for every caller, vectorized over a batch of separations.
 The upper half of the range is integrated in the variable r = t + s - p
 directly, because near that endpoint r is the physically meaningful
 quantity and forming it by subtraction would waste every digit; the last
@@ -42,6 +42,7 @@ from .gauges import GaugeSpec, GaugeSystem
 
 _CRITICAL_TOL = 1e-12
 _KUMMER_TERMS = 12  # of the large-x series in _kummer_asymptotic
+_GAUSS_ORDER = 12  # points per panel of the covariance rule
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,11 @@ class HeatModel:
     @property
     def box_diameter(self) -> float:
         return 2.0 * math.sqrt(self.space_dim) * self.box_radius
+
+    @cached_property
+    def _rule_levels(self) -> int:
+        """Refinement depth of the covariance rule; see ``_reduced_rule``."""
+        return math.ceil(34.0 / (2.0 * self.hurst))
 
     @cached_property
     def variance_const(self) -> float:
@@ -262,9 +268,7 @@ class HeatModel:
             out[rest] = sub / e
         return out
 
-    def _reduced_rule(
-        self, t: float, s: float, rho_floor: float, *, order: int, end_levels: int, kink_levels: int
-    ) -> tuple[np.ndarray, np.ndarray, float]:
+    def _reduced_rule(self, t: float, s: float, rho_floor: float) -> tuple[np.ndarray, np.ndarray, float]:
         """Nodes in r = (t+s) - p with weights carrying W, plus the r cutoff.
 
         The time integral is split at its midpoint.  The left half is
@@ -279,11 +283,15 @@ class HeatModel:
         midpoint (max(t, s) near 3 min(t, s)), the split moves onto the
         cusp so that both halves refine toward it.
 
-        Both halves take the one ``_quad.panel_edges`` partition: a panel
-        per octave, halved ``kink_levels`` times toward the weight's kinks
-        at p in {m, 2m} and r in {w, m}, with m = min(t, s) and w = |t - s|.
-        The octaves of the p half stop at m 2^-(end_levels + 1); the single
-        panel below that floor carries the integrable p^(2H-1) cusp at 0.
+        Both halves take one ``_quad.panel_edges`` partition: a panel per
+        octave, halved L times toward the weight's kinks at p in {m, 2m}
+        and r in {w, m}, with m = min(t, s) and w = |t - s|.  The p half's
+        octaves stop at m 2^-(L + 1); the one panel below carries the
+        integrable p^(2H-1) cusp at 0.  The kinks are cusps of exponent
+        2H - 1, so each halving, and each octave the floor drops, cuts the
+        error by about 2^(2H): L = ceil(34 / (2H)) gives every H the same
+        accuracy, 34 being the least constant that holds the 40-digit
+        covariances at H = 0.7 to 2e-15.
         """
         total = t + s
         w = abs(t - s)
@@ -297,16 +305,17 @@ class HeatModel:
             r_min = min(r_min, rho_floor ** 2 / 2560.0)
         r_min = max(r_min, total * 1e-180)
 
-        p_floor = m * 0.5 ** (end_levels + 1)
-        p_edges = _quad.panel_edges(p_floor, (m, 2.0 * m), p_seam, tip=cusp, levels=kink_levels)
-        p_nodes, p_wgt = _quad.panel_rule(np.concatenate([[0.0], p_edges]), order)
+        levels = self._rule_levels
+        p_floor = m * 0.5 ** (levels + 1)
+        p_edges = _quad.panel_edges(p_floor, (m, 2.0 * m), p_seam, tip=cusp, levels=levels)
+        p_nodes, p_wgt = _quad.panel_rule(np.concatenate([[0.0], p_edges]), _GAUSS_ORDER)
         e = 2.0 * self.hurst - 1.0
         hi = np.minimum(p_nodes, 2.0 * t - p_nodes)
         lo = np.maximum(-p_nodes, p_nodes - 2.0 * s)
         left = p_wgt * _clip_mass(hi, lo, e) / e
 
-        r_edges = _quad.panel_edges(r_min, (w, m), r_seam, tip=cusp, levels=kink_levels)
-        r_nodes, r_wgt = _quad.panel_rule(r_edges, order)
+        r_edges = _quad.panel_edges(r_min, (w, m), r_seam, tip=cusp, levels=levels)
+        r_nodes, r_wgt = _quad.panel_rule(r_edges, _GAUSS_ORDER)
         right = r_wgt * self._w_factor_r(r_nodes, t, s)
 
         r_all = np.concatenate([total - p_nodes, r_nodes])
@@ -360,16 +369,7 @@ class HeatModel:
         return out
 
     def _cov_batch(
-        self,
-        t: float,
-        s: float,
-        rhos: np.ndarray,
-        *,
-        order: int = 16,
-        end_levels: int = 44,
-        kink_levels: int = 36,
-        deficit: bool = False,
-        work: _Workspace | None = None,
+        self, t: float, s: float, rhos: np.ndarray, *, deficit: bool = False, work: _Workspace | None = None
     ) -> np.ndarray:
         """Covariance of one component at time pair (t, s), batched over rho.
 
@@ -382,9 +382,7 @@ class HeatModel:
         rhos = np.asarray(rhos, dtype=float)
         pos = rhos[rhos > 0.0]
         rho_floor = float(np.min(pos)) if pos.size else 0.0
-        r, wgt, r_min = self._reduced_rule(
-            t, s, rho_floor, order=order, end_levels=end_levels, kink_levels=kink_levels
-        )
+        r, wgt, r_min = self._reduced_rule(t, s, rho_floor)
         kernel_w = wgt * self._profile_const * r ** (-self.decay)
         shape = (rhos.size, r.size)
         x = np.empty(shape) if work is None else work.take(shape)
@@ -461,19 +459,14 @@ def model_gauges(model: HeatModel) -> GaugeSystem:
 # -- assembled covariance ------------------------------------------------------
 
 
-# The matrix path's quadrature rule: coarser than the scalar default
-# (16/44/36), which takes more than twice as long on a 64 x 64 grid.
-_MATRIX_RULE = {"order": 12, "end_levels": 26, "kink_levels": 16}
-
-
 def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray) -> np.ndarray:
     """Dense one-component covariance over the product grid times x sites.
 
     Rows are ordered time-major.  Each distinct time pair costs one
     quadrature rule evaluated against the distinct site separations, so a
     64 x 64 grid needs 2080 rules rather than 8.4 million kernel calls.
-    All rules form their spatial factor in one reused buffer, so the loop
-    allocates no megabyte-sized temporaries.
+    Blocks take the scalar kernel's one rule; all rules form their spatial
+    factor in one reused buffer, so the loop allocates no large temporaries.
     """
     times = np.asarray(times, dtype=float)
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
@@ -486,7 +479,7 @@ def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray) ->
     work = _Workspace()
     for i in range(nt):
         for j in range(i, nt):
-            vals = model._cov_batch(times[i], times[j], uniq, work=work, **_MATRIX_RULE)
+            vals = model._cov_batch(times[i], times[j], uniq, work=work)
             block = vals[inverse]
             cov[i * ns : (i + 1) * ns, j * ns : (j + 1) * ns] = block
             if j > i:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from anisohit.errors import ConfigurationError, NumericalError
 from anisohit.heat import (
-    _MATRIX_RULE,
     HeatModel,
     covariance_matrix,
     model_gauges,
@@ -119,13 +118,16 @@ RULE_ORACLE = [
     (0.9, 0.1106, 1 + 1e-5, (0.01815802811015813993, 0.018146757848848083593, 0.012980497835630425234)),
     (0.9, 0.1106, 1 + 1e-3, (0.018169080315698851176, 0.018158020513962410938, 0.012990666266551052622)),
 ]
-# Bounds on the relative error over RULE_ORACLE, per hurst: each rule's
-# measured worst case, rounded up.  The matrix rule's worst is t = 0.1106,
-# ratio 1 + 1e-5, rho = 0 (4.0e-8, 8.1e-10 and 6.8e-13 at H = 0.55, 0.7 and
-# 0.9); the scalar rule's is 2.7e-13 at ratio 1 + 1e-8 for H = 0.55 and
-# below 2e-15 otherwise.
-MATRIX_RULE_TOL = {0.55: 5e-8, 0.7: 1e-9, 0.9: 1e-12}
-SCALAR_RULE_TOL = {0.55: 5e-13, 0.7: 2e-15, 0.9: 3e-15}
+# Bound on the relative error over RULE_ORACLE, per hurst: the one rule's
+# measured worst case (3.1e-15, 1.1e-15 and 8.9e-16 at H = 0.55, 0.7 and
+# 0.9), rounded up.
+RULE_TOL = {0.55: 5e-15, 0.7: 2e-15, 0.9: 2e-15}
+
+
+def _near_equal_case(h):
+    """(t, ratio, refs) of the RULE_ORACLE pair at s/t = 1 + 1e-5."""
+    ((t, ratio, refs),) = [case[1:] for case in RULE_ORACLE if case[0] == h and case[2] == 1 + 1e-5]
+    return t, ratio, refs
 
 
 def _model(h, d, al):
@@ -157,15 +159,31 @@ def test_covariance_is_accurate_where_the_cusp_meets_the_midpoint(h, rho, ratio,
 
 
 @pytest.mark.parametrize("h,t,ratio,refs", RULE_ORACLE)
-def test_matrix_rule_matches_quadrature_oracle(h, t, ratio, refs):
-    got = _model(h, 1, 0.0)._cov_batch(t, t * ratio, np.array(RULE_RHOS), **_MATRIX_RULE)
-    np.testing.assert_allclose(got, refs, rtol=MATRIX_RULE_TOL[h], atol=0.0)
-
-
-@pytest.mark.parametrize("h,t,ratio,refs", RULE_ORACLE)
-def test_scalar_rule_matches_quadrature_oracle(h, t, ratio, refs):
+def test_rule_matches_quadrature_oracle(h, t, ratio, refs):
     got = _model(h, 1, 0.0)._cov_batch(t, t * ratio, np.array(RULE_RHOS))
-    np.testing.assert_allclose(got, refs, rtol=SCALAR_RULE_TOL[h], atol=0.0)
+    np.testing.assert_allclose(got, refs, rtol=RULE_TOL[h], atol=0.0)
+
+
+@pytest.mark.parametrize("h", sorted(RULE_TOL))
+def test_covariance_matrix_matches_quadrature_oracle_at_near_equal_times(h):
+    # |t - s| = 1e-5 t: the weight's cusp at r = |t - s| sits far below the
+    # r-half segment [|t - s|, min(t, s)], where a rule that halves only in
+    # steps of the segment span never reaches it
+    t, ratio, refs = _near_equal_case(h)
+    cov = covariance_matrix(_model(h, 1, 0.0), np.array([t, t * ratio]), np.array(RULE_RHOS)[:, None])
+    np.testing.assert_allclose(cov[0, 3:], refs, rtol=RULE_TOL[h], atol=0.0)
+    np.testing.assert_allclose(cov[3:, 0], refs, rtol=RULE_TOL[h], atol=0.0)
+
+
+def test_rule_depth_set_for_a_smoother_cusp_misses_the_oracle():
+    # negative control: the H = 0.9 depth on an H = 0.55 model under-resolves
+    # the |r - w|^0.1 cusp of the near-equal pair, by orders of magnitude
+    m = _model(0.55, 1, 0.0)
+    assert m._rule_levels > _model(0.9, 1, 0.0)._rule_levels == 19
+    m.__dict__["_rule_levels"] = 19
+    t, ratio, refs = _near_equal_case(0.55)
+    got = m._cov_batch(t, t * ratio, np.array(RULE_RHOS))
+    assert np.max(np.abs(got / np.array(refs) - 1.0)) > 100.0 * RULE_TOL[0.55]
 
 
 def test_small_separation_metric_matches_oracle():
@@ -349,7 +367,7 @@ def test_covariance_matrix_blocks_equal_the_scalar_kernel_bit_for_bit(alpha):
     inverse = inverse.reshape(4, 4)
     for i in range(5):
         for j in range(i, 5):
-            block = m._cov_batch(times[i], times[j], uniq, **_MATRIX_RULE)[inverse]
+            block = m._cov_batch(times[i], times[j], uniq)[inverse]
             assert np.array_equal(cov[4 * i : 4 * i + 4, 4 * j : 4 * j + 4], block)
             assert np.array_equal(cov[4 * j : 4 * j + 4, 4 * i : 4 * i + 4], block.T)
 

@@ -75,10 +75,14 @@ def test_panel_edges_halve_toward_each_kink_from_both_sides():
     brks = [lo, 0.1, 0.5, hi]
     for k in (1, 2):
         kink = brks[k]
-        below, above = kink - brks[k - 1], brks[k + 1] - kink
+        # below a kink the steps scale with the segment's span; above it
+        # with min(span, kink), so the kink 0.1 halves in steps of 0.1, not 0.4
+        below, above = kink - brks[k - 1], min(brks[k + 1] - kink, kink)
         halvings = [kink - below * 0.5 ** j for j in range(1, levels + 1)]
         halvings += [kink + above * 0.5 ** j for j in range(1, levels + 1)]
         assert has_edges_at([kink] + halvings, edges)
+    # the innermost edge above the kink 0.1 (which exp(log(.)) may round up)
+    assert edges[edges > 0.1 * (1.0 + 1e-9)][0] == pytest.approx(0.1 + 0.1 * 0.5 ** levels, rel=1e-15)
     # hi is refined only when tip says it is a kink too
     assert edges[-2] == 0.75
     toward_hi = [hi - (hi - 0.5) * 0.5 ** j for j in range(1, levels + 1)]
