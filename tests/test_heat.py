@@ -164,12 +164,12 @@ def test_rule_matches_quadrature_oracle(h, t, ratio, refs):
     np.testing.assert_allclose(got, refs, rtol=RULE_TOL[h], atol=0.0)
 
 
-@pytest.mark.parametrize("h", sorted(RULE_TOL))
-def test_covariance_matrix_matches_quadrature_oracle_at_near_equal_times(h):
-    # |t - s| = 1e-5 t: the weight's cusp at r = |t - s| sits far below the
-    # r-half segment [|t - s|, min(t, s)], where a rule that halves only in
-    # steps of the segment span never reaches it
-    t, ratio, refs = _near_equal_case(h)
+@pytest.mark.parametrize("h,t,ratio,refs", RULE_ORACLE)
+def test_covariance_matrix_matches_quadrature_oracle(h, t, ratio, refs):
+    # the public matrix path over every RULE_ORACLE pair; at |t - s| = 1e-5 t
+    # the weight's cusp at r = |t - s| sits far below the r-half segment
+    # [|t - s|, min(t, s)], where a rule that halves only in steps of the
+    # segment span never reaches it
     cov = covariance_matrix(_model(h, 1, 0.0), np.array([t, t * ratio]), np.array(RULE_RHOS)[:, None])
     np.testing.assert_allclose(cov[0, 3:], refs, rtol=RULE_TOL[h], atol=0.0)
     np.testing.assert_allclose(cov[3:, 0], refs, rtol=RULE_TOL[h], atol=0.0)
