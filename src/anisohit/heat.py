@@ -18,7 +18,10 @@ models evaluate M, and only they load ``scipy.special``.  The integrand
 is smooth except for power kinks at p in {s, t, 2s, 2t} and integrable
 endpoint singularities, so one panelled Gauss rule (a panel per octave,
 halved toward each kink to a depth set by H) evaluates it to near machine
-precision for every caller, vectorized over a batch of separations.
+precision for every caller, vectorized over a batch of separations.  The
+rules of many time pairs (a covariance grid, a batch of metrics) are built
+together in array passes, a chunk of pairs at a time; a single pair is a
+batch of one and gets the same rule to the bit.
 The upper half of the range is integrated in the variable r = t + s - p
 directly, because near that endpoint r is the physically meaningful
 quantity and forming it by subtraction would waste every digit; the last
@@ -43,6 +46,8 @@ from .gauges import GaugeSpec, GaugeSystem
 _CRITICAL_TOL = 1e-12
 _KUMMER_TERMS = 12  # of the large-x series in _kummer_asymptotic
 _GAUSS_ORDER = 12  # points per panel of the covariance rule
+_PANELS_PER_LEVEL = 10  # about the most panels a rule has per level of its depth
+_RULE_CHUNK_NODES = 2**14  # rule nodes built in one array pass
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,7 @@ class HeatModel:
 
     @cached_property
     def _rule_levels(self) -> int:
-        """Refinement depth of the covariance rule; see ``_reduced_rule``."""
+        """Refinement depth of the covariance rule; see ``_rules``."""
         return math.ceil(34.0 / (2.0 * self.hurst))
 
     @cached_property
@@ -211,30 +216,57 @@ class HeatModel:
         return float(self._cov_batch(t, s, np.asarray([rho]))[0])
 
     def metric(self, t: float, x, s: float, y) -> float:
-        """Canonical metric sqrt(E[(u(t,x) - u(s,y))^2]) for one component.
-
-        Equal-time pairs use a cancellation-free differenced integrand; the
-        mixed case assembles variances and covariance separately and clamps
-        a negative radicand within 1e-10 of the variance scale to zero.
-        """
+        """Canonical metric sqrt(E[(u(t,x) - u(s,y))^2]) for one component."""
         rho = _separation(x, y, self.space_dim)
-        if t == s:
-            if rho == 0.0:
-                return 0.0
-            return math.sqrt(float(self._spatial_sq(t, np.asarray([rho]))[0]))
-        va, vb = self.variance(t), self.variance(s)
-        dd = va + vb - 2.0 * self.covariance(t, x, s, y)
-        if dd < 0.0:
-            if dd >= -1e-10 * max(va, vb):
-                dd = 0.0
-            else:
-                raise NumericalError("metric radicand is negative beyond rounding levels")
-        return math.sqrt(dd)
+        return float(self.metrics(np.array([t], dtype=float), np.array([s], dtype=float), np.array([rho]))[0])
 
-    def _w_factor_r(self, r: np.ndarray, t: float, s: float) -> np.ndarray:
+    def metrics(self, t, s, rho) -> np.ndarray:
+        """Canonical metric of one component at the pairs (t[i], x), (s[i], y).
+
+        ``rho[i]`` is the separation |x - y| of pair i.  Equal-time pairs use
+        a cancellation-free differenced integrand; the mixed ones assemble
+        variances and covariance separately.  A negative radicand within
+        1e-10 of the variance scale is rounding and is clamped to zero; the
+        clamps of a call are counted and logged as one warning, and a more
+        negative radicand raises ``NumericalError``.
+        """
+        t, s, rho = (np.asarray(v, dtype=float) for v in (t, s, rho))
+        out = np.zeros(t.shape)
+        same = t == s
+        apart = same & (rho != 0.0)
+        out[apart] = np.sqrt(2.0 * self._cov_pairs(t[apart], t[apart], rho[apart, None], deficit=True)[:, 0])
+        mixed = ~same
+        tm, sm, rm = t[mixed], s[mixed], rho[mixed]
+        # scalar powers, as a single pair takes them (an array power may differ by an ulp)
+        va, vb = (np.array([self.variance(v) for v in u.tolist()]) for u in (tm, sm))
+        cov = np.zeros(tm.shape)
+        live = (tm > 0.0) & (sm > 0.0)
+        cov[live] = self._cov_pairs(tm[live], sm[live], rm[live, None])[:, 0]
+        dd = va + vb - 2.0 * cov
+        neg = dd < 0.0
+        if np.any(neg):
+            scale = np.maximum(va, vb)[neg]
+            if np.any(dd[neg] < -1e-10 * scale):
+                raise NumericalError("metric radicand is negative beyond rounding levels")
+            import logging  # only a clamping call logs; clean runs skip the import
+
+            logging.getLogger("anisohit").warning(
+                "metric: clamped %d negative radicand(s) to 0, the worst at %.1e times the variance",
+                np.count_nonzero(neg),
+                float(np.min(dd[neg] / scale)),
+            )
+            dd[neg] = 0.0
+        out[mixed] = np.sqrt(dd)
+        return out
+
+    def _w_factor_r(
+        self, r: np.ndarray, pair: np.ndarray, t: np.ndarray, s: np.ndarray, taylor: np.ndarray
+    ) -> np.ndarray:
         """Anti-diagonal weight W at p = (t+s) - r, cancellation-free in r.
 
-        Below min(t, s) both clipping branches are active and
+        Node r[j] belongs to the time pair (t, s)[pair[j]], whose Taylor
+        coefficient 2(2H-1) w^(2H-2) is ``taylor[pair[j]]``.  Below
+        min(t, s) both clipping branches are active and
         W = (h(w + r) - h(w - r)) / (2H - 1) with w = |t - s| and
         h(v) = sign(v) |v|^(2H-1).  For r > w that difference is a sum of
         two positive terms; for r far below w it is evaluated by its odd
@@ -243,33 +275,31 @@ class HeatModel:
         quantity is one subtraction away from the inputs.
         """
         e = 2.0 * self.hurst - 1.0
-        w = abs(t - s)
         out = np.empty_like(r)
-        generic = r >= min(t, s)
-        if np.any(generic):
-            rg = r[generic]
-            hi = np.minimum((t + s) - rg, rg + (t - s))
-            lo = np.maximum(rg - (t + s), (t - s) - rg)
-            out[generic] = _clip_mass(hi, lo, e) / e
+        generic = r >= np.minimum(t, s)[pair]
+        rg, pg = r[generic], pair[generic]
+        hi = np.minimum((t + s)[pg] - rg, rg + (t - s)[pg])
+        lo = np.maximum(rg - (t + s)[pg], (t - s)[pg] - rg)
+        out[generic] = _clip_mass(hi, lo, e) / e
+        del rg, pg, hi, lo  # node-sized temporaries bound the chunk's memory
         rest = ~generic
-        if np.any(rest):
-            rr = r[rest]
-            sub = np.empty_like(rr)
-            tiny = rr <= 1e-3 * w
-            if np.any(tiny):
-                q = rr[tiny] / w
-                sub[tiny] = 2.0 * e * w ** (e - 1.0) * rr[tiny] * (
-                    1.0 + (e - 1.0) * (e - 2.0) / 6.0 * q * q
-                )
-            big = ~tiny
-            if np.any(big):
-                rb = rr[big]
-                sub[big] = (w + rb) ** e - np.sign(w - rb) * np.abs(w - rb) ** e
-            out[rest] = sub / e
+        rr, pr = r[rest], pair[rest]
+        w = np.abs(t - s)[pr]
+        sub = _clip_mass(w + rr, w - rr, e)
+        tiny = rr <= 1e-3 * w
+        q = rr[tiny] / w[tiny]
+        sub[tiny] = taylor[pr[tiny]] * rr[tiny] * (1.0 + (e - 1.0) * (e - 2.0) / 6.0 * q * q)
+        sub /= e
+        out[rest] = sub
         return out
 
-    def _reduced_rule(self, t: float, s: float, rho_floor: float) -> tuple[np.ndarray, np.ndarray, float]:
-        """Nodes in r = (t+s) - p with weights carrying W, plus the r cutoff.
+    def _rules(
+        self, t: np.ndarray, s: np.ndarray, rho_floor: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Rules of the time pairs (t[i], s[i]), built together in array passes.
+
+        Returns nodes in r = (t+s) - p, weights carrying W, the node offsets
+        (pair i owns ``r[off[i]:off[i+1]]``) and each pair's r cutoff.
 
         The time integral is split at its midpoint.  The left half is
         integrated in p, where the endpoint cusp sits at an exactly
@@ -292,34 +322,56 @@ class HeatModel:
         error by about 2^(2H): L = ceil(34 / (2H)) gives every H the same
         accuracy, 34 being the least constant that holds the 40-digit
         covariances at H = 0.7 to 2e-15.
+
+        Powers of a pair's own scalars (rho_floor^2 and w^(2H-2)) are taken
+        one pair at a time, as Python floats, so that every pair's rule is
+        the same to the bit whatever batch it is built in.
         """
         total = t + s
-        w = abs(t - s)
-        m = min(t, s)
-        cusp = abs(w - 0.5 * total) < 0.125 * total
-        p_seam, r_seam = (2.0 * m, w) if cusp else (0.5 * total, 0.5 * total)
-        r_min = total * 2.0 ** -16
-        if w > 0.0:
-            r_min = min(r_min, 1e-3 * w)
-        if rho_floor > 0.0:
-            r_min = min(r_min, rho_floor ** 2 / 2560.0)
-        r_min = max(r_min, total * 1e-180)
+        w = np.abs(t - s)
+        m = np.minimum(t, s)
+        cusp = np.abs(w - 0.5 * total) < 0.125 * total
+        p_seam = np.where(cusp, 2.0 * m, 0.5 * total)
+        r_seam = np.where(cusp, w, 0.5 * total)
+        r_min = total * 2.0**-16
+        r_min = np.where(w > 0.0, np.minimum(r_min, 1e-3 * w), r_min)
+        floor_sq = np.array([f**2 for f in rho_floor.tolist()])
+        r_min = np.where(rho_floor > 0.0, np.minimum(r_min, floor_sq / 2560.0), r_min)
+        r_min = np.maximum(r_min, total * 1e-180)
 
         levels = self._rule_levels
-        p_floor = m * 0.5 ** (levels + 1)
-        p_edges = _quad.panel_edges(p_floor, (m, 2.0 * m), p_seam, tip=cusp, levels=levels)
-        p_nodes, p_wgt = _quad.panel_rule(np.concatenate([[0.0], p_edges]), _GAUSS_ORDER)
         e = 2.0 * self.hurst - 1.0
-        hi = np.minimum(p_nodes, 2.0 * t - p_nodes)
-        lo = np.maximum(-p_nodes, p_nodes - 2.0 * s)
-        left = p_wgt * _clip_mass(hi, lo, e) / e
+        n = t.size
+        edges = _quad.panel_edges(
+            np.concatenate([m * 0.5 ** (levels + 1), r_min]),
+            np.concatenate([np.stack([m, 2.0 * m], axis=1), np.stack([w, m], axis=1)]),
+            np.concatenate([p_seam, r_seam]),
+            tip=np.concatenate([cusp, cusp]),
+            levels=levels,
+        )
+        p_edges = np.concatenate([np.zeros((n, 1)), edges[:n]], axis=1)
+        p_nodes, left = _quad.panel_rule(p_edges, _GAUSS_ORDER)
+        p_count = _node_counts(p_edges)
+        hi = np.minimum(p_nodes, np.repeat(2.0 * t, p_count) - p_nodes)
+        lo = np.maximum(-p_nodes, p_nodes - np.repeat(2.0 * s, p_count))
+        left *= _clip_mass(hi, lo, e)
+        left /= e
+        del hi, lo  # node-sized temporaries bound the chunk's memory
 
-        r_edges = _quad.panel_edges(r_min, (w, m), r_seam, tip=cusp, levels=levels)
-        r_nodes, r_wgt = _quad.panel_rule(r_edges, _GAUSS_ORDER)
-        right = r_wgt * self._w_factor_r(r_nodes, t, s)
+        r_nodes, right = _quad.panel_rule(edges[n:], _GAUSS_ORDER)
+        r_count = _node_counts(edges[n:])
+        taylor = np.array([2.0 * e * v ** (e - 1.0) if v > 0.0 else 0.0 for v in w.tolist()])
+        right *= self._w_factor_r(r_nodes, np.repeat(np.arange(n), r_count), t, s, taylor)
 
-        r_all = np.concatenate([total - p_nodes, r_nodes])
-        return r_all, np.concatenate([left, right]), r_min
+        # pair by pair, the p half's nodes, then the r half's
+        from_p = np.repeat(np.tile([True, False], n), np.stack([p_count, r_count], axis=1).ravel())
+        r, wgt = np.empty(from_p.size), np.empty(from_p.size)
+        r[from_p] = np.repeat(total, p_count) - p_nodes
+        r[~from_p] = r_nodes
+        wgt[from_p] = left
+        wgt[~from_p] = right
+        off = np.concatenate([[0], np.cumsum(p_count + r_count)])
+        return r, wgt, off, r_min
 
     def _tail_moment(self, t: float, s: float, r_min: float, k: float) -> float:
         """int_0^r_min W(r) r^k dr in closed form.
@@ -368,46 +420,63 @@ class HeatModel:
         out[hot] = flat - cov_hot if deficit else cov_hot
         return out
 
-    def _cov_batch(
-        self, t: float, s: float, rhos: np.ndarray, *, deficit: bool = False, work: _Workspace | None = None
-    ) -> np.ndarray:
-        """Covariance of one component at time pair (t, s), batched over rho.
+    def _cov_pairs(self, t: np.ndarray, s: np.ndarray, rhos: np.ndarray, *, deficit: bool = False) -> np.ndarray:
+        """Covariance of one component at time pairs (t[i], s[i]) against rows rhos[i].
 
-        With ``deficit`` the spatial factor exp(-x) M is replaced by
+        ``rhos`` holds one row of separations per pair (a broadcast view
+        when the pairs share them).  Rules are built ``_RULE_CHUNK_NODES``
+        nodes at a time; each pair then forms its (separations x nodes)
+        spatial factor in place in one reused buffer and contracts it with
+        its weights, so no array grows with the batch but the result.  With
+        ``deficit`` the spatial factor exp(-x) M is replaced by
         1 - exp(-x) M, which gives half the squared metric at equal times
-        without the cancellation of variance minus covariance.  The
-        (separations x nodes) spatial factor is formed in place in a buffer
-        taken from ``work``, or in a fresh one when it is None.
+        without the cancellation of variance minus covariance.
         """
-        rhos = np.asarray(rhos, dtype=float)
-        pos = rhos[rhos > 0.0]
-        rho_floor = float(np.min(pos)) if pos.size else 0.0
-        r, wgt, r_min = self._reduced_rule(t, s, rho_floor)
-        kernel_w = wgt * self._profile_const * r ** (-self.decay)
-        shape = (rhos.size, r.size)
-        x = np.empty(shape) if work is None else work.take(shape)
-        np.multiply.outer(rhos ** 2, 1.0 / (4.0 * r), out=x)
         spatial = self._kummer_deficit if deficit else self._kummer
-        vals = spatial(x, out=x) @ kernel_w
-        vals += self._tail(t, s, rhos, r_min, deficit)
-        return 0.5 * self.noise_const * vals
+        out = np.empty(rhos.shape)
+        buf = np.empty(0)  # the spatial factor's buffer, grown on demand
+        step = max(1, _RULE_CHUNK_NODES // (_GAUSS_ORDER * _PANELS_PER_LEVEL * self._rule_levels))
+        for start in range(0, t.size, step):
+            chunk = slice(start, start + step)
+            rho_floor = np.min(np.where(rhos[chunk] > 0.0, rhos[chunk], np.inf), axis=1)
+            rho_floor[rho_floor == np.inf] = 0.0
+            r, kernel_w, off, r_min = self._rules(t[chunk], s[chunk], rho_floor)
+            kernel_w *= self._profile_const
+            kernel_w *= r ** (-self.decay)
+            r *= 4.0
+            inv_4r = np.divide(1.0, r, out=r)
+            times = zip(t[chunk].tolist(), s[chunk].tolist(), r_min.tolist())
+            for i, (ti, si, r_cut) in enumerate(times):
+                row, nodes = start + i, slice(off[i], off[i + 1])
+                size = rhos.shape[1] * (off[i + 1] - off[i])
+                if buf.size < size:
+                    buf = np.empty(size)
+                x = buf[:size].reshape(rhos.shape[1], -1)
+                np.multiply.outer(rhos[row] ** 2, inv_4r[nodes], out=x)
+                out[row] = spatial(x, out=x) @ kernel_w[nodes]
+                out[row] += self._tail(ti, si, rhos[row], r_cut, deficit)
+        return 0.5 * self.noise_const * out
+
+    def _cov_batch(self, t: float, s: float, rhos: np.ndarray, *, deficit: bool = False) -> np.ndarray:
+        """Covariance of one component at one time pair, batched over rho."""
+        rhos = np.asarray(rhos, dtype=float)
+        t, s = np.array([t], dtype=float), np.array([s], dtype=float)
+        return self._cov_pairs(t, s, rhos[None, :], deficit=deficit)[0]
 
     def _spatial_sq(self, t: float, rhos: np.ndarray) -> np.ndarray:
         """Squared metric at equal times, batched over separations."""
         return 2.0 * self._cov_batch(t, t, rhos, deficit=True)
 
 
-class _Workspace:
-    """One float buffer, grown on demand and reshaped for each rule."""
+def separations(x, y) -> np.ndarray:
+    """Euclidean lengths of the rows of x - y.
 
-    def __init__(self) -> None:
-        self._buf = np.empty(0)
-
-    def take(self, shape: tuple[int, int]) -> np.ndarray:
-        size = shape[0] * shape[1]
-        if self._buf.size < size:
-            self._buf = np.empty(size)
-        return self._buf[:size].reshape(shape)
+    Each is the square root of the row's BLAS dot product with itself,
+    which is what ``np.linalg.norm`` takes for one vector, so a batch gives
+    the very values of a loop over single points.
+    """
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0])
 
 
 def _separation(x, y, space_dim: int) -> float:
@@ -415,12 +484,22 @@ def _separation(x, y, space_dim: int) -> float:
     yv = np.atleast_1d(np.asarray(y, dtype=float))
     if xv.shape != (space_dim,) or yv.shape != (space_dim,):
         raise ConfigurationError(f"spatial points must have {space_dim} coordinates")
-    return float(np.linalg.norm(xv - yv))
+    return float(separations(xv[None, :], yv[None, :])[0])
+
+
+def _node_counts(edges: np.ndarray) -> np.ndarray:
+    """Nodes per row of a ``_quad.panel_rule`` over +inf-padded edge rows."""
+    return _GAUSS_ORDER * (np.count_nonzero(np.isfinite(edges), axis=1) - 1)
 
 
 def _clip_mass(hi: np.ndarray, lo: np.ndarray, e: float) -> np.ndarray:
     """sign(hi) |hi|^e - sign(lo) |lo|^e: e times the clipped weight W."""
-    return np.sign(hi) * np.abs(hi) ** e - np.sign(lo) * np.abs(lo) ** e
+    out = np.abs(hi) ** e
+    out *= np.sign(hi)
+    low = np.abs(lo) ** e
+    low *= np.sign(lo)
+    out -= low
+    return out
 
 
 def _kummer_asymptotic(x: np.ndarray, a: float, c: float) -> np.ndarray:
@@ -464,9 +543,10 @@ def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray) ->
 
     Rows are ordered time-major.  Each distinct time pair costs one
     quadrature rule evaluated against the distinct site separations, so a
-    64 x 64 grid needs 2080 rules rather than 8.4 million kernel calls.
-    Blocks take the scalar kernel's one rule; all rules form their spatial
-    factor in one reused buffer, so the loop allocates no large temporaries.
+    64 x 64 grid needs 2080 rules rather than 8.4 million kernel calls.  All
+    pairs go through the batched rule builder at once; every block is the
+    scalar kernel's to the bit, and all rules form their spatial factor in
+    one reused buffer, so the assembly allocates no large temporaries.
     """
     times = np.asarray(times, dtype=float)
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
@@ -475,15 +555,15 @@ def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray) ->
     seps = np.sqrt(np.sum(diffs * diffs, axis=2))
     uniq, inverse = np.unique(np.round(seps, 12), return_inverse=True)
     inverse = inverse.reshape(ns, ns)
+    rows, cols = np.triu_indices(nt)
+    vals = model._cov_pairs(times[rows], times[cols], np.broadcast_to(uniq, (rows.size, uniq.size)))
     cov = np.empty((nt * ns, nt * ns))
-    work = _Workspace()
     for i in range(nt):
-        for j in range(i, nt):
-            vals = model._cov_batch(times[i], times[j], uniq, work=work)
-            block = vals[inverse]
-            cov[i * ns : (i + 1) * ns, j * ns : (j + 1) * ns] = block
-            if j > i:
-                cov[j * ns : (j + 1) * ns, i * ns : (i + 1) * ns] = block.T
+        # the blocks (i, j) for j >= i, which are the pairs' next nt - i rows
+        blocks = vals[: nt - i][:, inverse]
+        vals = vals[nt - i :]
+        cov[i * ns : (i + 1) * ns, i * ns :] = blocks.transpose(1, 0, 2).reshape(ns, -1)
+        cov[(i + 1) * ns :, i * ns : (i + 1) * ns] = blocks[1:].transpose(0, 2, 1).reshape(-1, ns)
     return cov
 
 
@@ -492,7 +572,7 @@ def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray) ->
 
 @dataclass(frozen=True)
 class SlopeFit:
-    """Least-squares line through log-log metric data."""
+    """A fitted exponent of the metric and the RMS residual of its fit."""
 
     slope: float
     rms_residual: float
@@ -503,16 +583,35 @@ def temporal_slope(model: HeatModel, *, t_ref: float = 0.5, lags=None) -> SlopeF
     if lags is None:
         lags = 2.0 ** -np.arange(4, 15)
     lags = np.asarray(lags, dtype=float)
-    x0 = np.zeros(model.space_dim)
-    vals = np.asarray([model.metric(t_ref, x0, t_ref + h, x0) for h in lags])
+    vals = model.metrics(np.full(lags.shape, t_ref), t_ref + lags, np.zeros(lags.shape))
     return _fit_loglog(lags, vals)
 
 
 def spatial_slope(model: HeatModel, *, t_ref: float = 0.5, seps=None) -> SlopeFit:
-    """Log-log slope of the metric along a spatial axis at a fixed time."""
+    """Spatial order of the metric at a fixed time, from a three-term fit.
+
+    At small separations the squared metric is c1 rho^(2 gamma) + c2 rho^2
+    + c4 rho^4 + ..., gamma being the time exponent 2H - b.  Near the
+    critical line gamma is close to 1 and the first two terms nearly cancel
+    inside the fit window, so one log-log slope reads low (0.858 against
+    0.9 at H = 0.7, d = 1).  The squared metric is therefore fitted by
+    relative least squares against all three powers, with gamma found by a
+    golden-section search on (0, 2.5), which holds the exponent of every
+    well-posed model.  The metric's order is min(gamma, 1), since above 1
+    the rho^2 term leads; ``rms_residual`` is the RMS relative residual of
+    the squared metric at that gamma.
+    """
     seps = _default_seps() if seps is None else np.asarray(seps, dtype=float)
-    vals = np.sqrt(model._spatial_sq(t_ref, seps))
-    return _fit_loglog(seps, vals)
+    sq = model._spatial_sq(t_ref, seps)
+
+    def residual(gamma: float) -> float:
+        cols = np.stack([seps ** (2.0 * gamma), seps**2, seps**4], axis=1) / sq[:, None]
+        cols /= np.linalg.norm(cols, axis=0)
+        coef = np.linalg.lstsq(cols, np.ones_like(sq), rcond=None)[0]
+        return float(np.sqrt(np.mean((cols @ coef - 1.0) ** 2)))
+
+    gamma = _golden_section(residual, 0.0, 2.5)
+    return SlopeFit(slope=min(gamma, 1.0), rms_residual=residual(gamma))
 
 
 def spatial_gauge_residual(model: HeatModel, gauge: GaugeSpec, *, t_ref: float = 0.5, seps=None) -> float:
@@ -538,3 +637,21 @@ def _fit_loglog(lags: np.ndarray, vals: np.ndarray) -> SlopeFit:
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     return SlopeFit(slope=float(slope), rms_residual=float(np.sqrt(np.mean(resid**2))))
+
+
+def _golden_section(f, lo: float, hi: float, tol: float = 1e-7) -> float:
+    """Minimizer of a unimodal f on (lo, hi), to within tol."""
+    shrink = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - shrink * (b - a), a + shrink * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - shrink * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + shrink * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)

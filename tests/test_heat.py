@@ -12,6 +12,7 @@ from anisohit.heat import (
     HeatModel,
     covariance_matrix,
     model_gauges,
+    separations,
     spatial_gauge_residual,
     spatial_slope,
     temporal_slope,
@@ -372,6 +373,79 @@ def test_covariance_matrix_blocks_equal_the_scalar_kernel_bit_for_bit(alpha):
             assert np.array_equal(cov[4 * j : 4 * j + 4, 4 * i : 4 * i + 4], block.T)
 
 
+# time pairs that take every branch of the rule builder: equal times, the
+# cusp on the seam (max = 3 min), a near-equal pair, a generic pair, a long
+# pair; each row of separations holds 0 and differs from its neighbours
+BATCH_PAIRS = [
+    (0.5, 0.5),
+    (0.25, 0.75),
+    (0.3, 0.9 * (1.0 + 1e-7)),
+    (0.1106, 0.1106 * (1.0 + 1e-5)),
+    (0.8, 0.35),
+    (0.1, 1.0),
+    (0.6, 0.2),
+    (0.45, 0.45),
+    (0.9, 0.3),
+    (0.2, 0.21),
+    (0.7, 0.7 * (1.0 + 1e-12)),
+]
+
+
+@pytest.mark.parametrize("h,d,al", [(0.7, 1, 0.0), (0.8, 2, 0.5), (0.55, 1, 0.0)])
+@pytest.mark.parametrize("chunk_nodes", [1, 6000, 20000, None])
+def test_batched_rules_equal_single_pair_rules_bit_for_bit(monkeypatch, h, d, al, chunk_nodes):
+    # a pair's covariances are the same alone as anywhere in a batch, also
+    # when chunk boundaries fall between, before or after it
+    from anisohit import heat
+
+    if chunk_nodes is not None:
+        monkeypatch.setattr(heat, "_RULE_CHUNK_NODES", chunk_nodes)
+    m = _model(h, d, al)
+    t, s = (np.array(col) for col in zip(*BATCH_PAIRS))
+    rhos = np.array([[0.0, 1e-3 * (k + 1), 0.3, 1.7 - 0.1 * k] for k in range(len(t))])
+    got = m._cov_pairs(t, s, rhos)
+    for k in range(len(t)):
+        assert np.array_equal(got[k], m._cov_batch(t[k], s[k], rhos[k])), k
+    deficit = m._cov_pairs(t, t, rhos, deficit=True)
+    for k in range(len(t)):
+        assert np.array_equal(deficit[k], m._cov_batch(t[k], t[k], rhos[k], deficit=True)), k
+
+
+def test_batched_metric_equals_single_pair_metric_bit_for_bit():
+    m = _model(0.8, 2, 0.5)
+    rng = np.random.default_rng(5)
+    t, s = (np.array(col) for col in zip(*BATCH_PAIRS))
+    x = rng.uniform(-1.0, 1.0, (len(t), 2))
+    y = x + rng.uniform(-0.5, 0.5, (len(t), 2))
+    y[1] = x[1]  # rho = 0 at distinct times
+    y[7] = x[7]  # identical points
+    rho = separations(x, y)
+    got = m.metrics(t, s, rho)
+    assert got[7] == 0.0
+    for k in range(len(t)):
+        assert rho[k] == np.linalg.norm(x[k] - y[k])
+        assert got[k] == m.metric(t[k], x[k], s[k], y[k]), k
+
+
+def test_metric_clamp_is_a_reported_event(caplog):
+    # at s = t + 1e-15 the exact radicand is far below the rounding of
+    # var(t) + var(s) - 2 cov, which comes out slightly negative
+    m = _model(0.9, 1, 0.0)
+    with caplog.at_level("WARNING", logger="anisohit"):
+        assert m.metric(0.1, [0.0], 0.100000000000001, [0.0]) == 0.0
+    (record,) = caplog.records
+    assert record.levelname == "WARNING"
+    assert "clamped 1 negative radicand" in record.getMessage()
+
+
+def test_clean_metric_batch_logs_nothing(caplog):
+    m = _model(0.9, 1, 0.0)
+    with caplog.at_level("DEBUG", logger="anisohit"):
+        vals = m.metrics(np.array([0.1, 0.5, 0.3]), np.array([0.2, 0.5, 0.9]), np.array([0.0, 0.1, 0.4]))
+    assert np.all(vals > 0.0)
+    assert caplog.records == []
+
+
 def test_covariance_matrix_diagonal_is_the_variance():
     m = _model(0.6, 1, 0.0)
     times = np.array([0.4, 0.9])
@@ -439,15 +513,23 @@ def test_spatial_slope_spot_check():
     assert fit.slope == pytest.approx(0.7, abs=0.03)
 
 
-# Known defect: for these H the metric's |x|^(2 min(1, a)) and |x|^(2 max(1, a))
-# terms, a = 2H - 1/2, cross over inside the fit window 1e-4..1e-1, so the
-# fitted slope misses min(1, a) by more than the rates pipeline's 0.03.
-# Strict, so that a fix of the estimator has to remove the marker.
-@pytest.mark.xfail(strict=True, reason="power-term crossover inside the spatial fit window")
+# For these H the metric's |x|^(2 min(1, a)) and |x|^(2 max(1, a)) terms,
+# a = 2H - 1/2, cross over inside the fit window 1e-4..1e-1, where a single
+# log-log slope misses min(1, a) by more than the rates pipeline's 0.03
+# (0.858 against 0.9 at H = 0.7); the fit has to resolve both terms.
 @pytest.mark.parametrize("h", [0.70, 0.72, 0.74, 0.76, 0.78, 0.80])
 def test_spatial_slope_near_the_critical_line(h):
     m = _model(h, 1, 0.0)
     assert spatial_slope(m).slope == pytest.approx(min(1.0, 2.0 * h - 0.5), abs=0.03)
+
+
+def test_spatial_slope_checked_against_a_neighbouring_order_fails():
+    # negative control: the H = 0.72 fit (order 0.94) is told apart from the
+    # orders of H = 0.70 and H = 0.76 at the pipeline's tolerance
+    fit = spatial_slope(_model(0.72, 1, 0.0))
+    assert fit.rms_residual < 1e-6
+    for other in (0.70, 0.76):
+        assert fit.slope != pytest.approx(_model(other, 1, 0.0).spatial_order, abs=0.03)
 
 
 def test_log_corrected_gauge_fits_critical_spatial_data_better():
