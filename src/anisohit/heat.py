@@ -45,6 +45,7 @@ from .gauges import GaugeSpec, GaugeSystem
 
 _CRITICAL_TOL = 1e-12
 _KUMMER_TERMS = 12  # of the large-x series in _kummer_asymptotic
+_GAMMA_TOL = 1e-7  # width at which spatial_slope's golden-section search stops
 _GAUSS_ORDER = 12  # points per panel of the covariance rule
 _PANELS_PER_LEVEL = 10  # about the most panels a rule has per level of its depth
 _RULE_CHUNK_NODES = 2**14  # rule nodes built in one array pass
@@ -293,13 +294,13 @@ class HeatModel:
         out[rest] = sub
         return out
 
-    def _rules(
-        self, t: np.ndarray, s: np.ndarray, rho_floor: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _rules(self, t: np.ndarray, s: np.ndarray, rho_floor: np.ndarray) -> tuple[tuple, tuple, np.ndarray]:
         """Rules of the time pairs (t[i], s[i]), built together in array passes.
 
-        Returns nodes in r = (t+s) - p, weights carrying W, the node offsets
-        (pair i owns ``r[off[i]:off[i+1]]``) and each pair's r cutoff.
+        Returns the rule's two halves and each pair's r cutoff.  A half is
+        (nodes in r = (t+s) - p, weights carrying W, node offsets): pair i
+        owns ``nodes[off[i]:off[i+1]]``, and its rule is its p-half nodes
+        followed by its r-half nodes.
 
         The time integral is split at its midpoint.  The left half is
         integrated in p, where the endpoint cusp sits at an exactly
@@ -357,21 +358,13 @@ class HeatModel:
         left *= _clip_mass(hi, lo, e)
         left /= e
         del hi, lo  # node-sized temporaries bound the chunk's memory
+        r_of_p = np.subtract(np.repeat(total, p_count), p_nodes, out=p_nodes)  # the p half's nodes in r
 
         r_nodes, right = _quad.panel_rule(edges[n:], _GAUSS_ORDER)
         r_count = _node_counts(edges[n:])
         taylor = np.array([2.0 * e * v ** (e - 1.0) if v > 0.0 else 0.0 for v in w.tolist()])
         right *= self._w_factor_r(r_nodes, np.repeat(np.arange(n), r_count), t, s, taylor)
-
-        # pair by pair, the p half's nodes, then the r half's
-        from_p = np.repeat(np.tile([True, False], n), np.stack([p_count, r_count], axis=1).ravel())
-        r, wgt = np.empty(from_p.size), np.empty(from_p.size)
-        r[from_p] = np.repeat(total, p_count) - p_nodes
-        r[~from_p] = r_nodes
-        wgt[from_p] = left
-        wgt[~from_p] = right
-        off = np.concatenate([[0], np.cumsum(p_count + r_count)])
-        return r, wgt, off, r_min
+        return (r_of_p, left, _offsets(p_count)), (r_nodes, right, _offsets(r_count)), r_min
 
     def _tail_moment(self, t: float, s: float, r_min: float, k: float) -> float:
         """int_0^r_min W(r) r^k dr in closed form.
@@ -440,20 +433,24 @@ class HeatModel:
             chunk = slice(start, start + step)
             rho_floor = np.min(np.where(rhos[chunk] > 0.0, rhos[chunk], np.inf), axis=1)
             rho_floor[rho_floor == np.inf] = 0.0
-            r, kernel_w, off, r_min = self._rules(t[chunk], s[chunk], rho_floor)
-            kernel_w *= self._profile_const
-            kernel_w *= r ** (-self.decay)
-            r *= 4.0
-            inv_4r = np.divide(1.0, r, out=r)
+            *halves, r_min = self._rules(t[chunk], s[chunk], rho_floor)
+            for r, kernel_w, _ in halves:
+                kernel_w *= self._profile_const
+                kernel_w *= r ** (-self.decay)
+                r *= 4.0
+                np.divide(1.0, r, out=r)  # r now holds 1/(4r)
+            (inv_p, w_p, off_p), (inv_r, w_r, off_r) = halves
             times = zip(t[chunk].tolist(), s[chunk].tolist(), r_min.tolist())
             for i, (ti, si, r_cut) in enumerate(times):
-                row, nodes = start + i, slice(off[i], off[i + 1])
-                size = rhos.shape[1] * (off[i + 1] - off[i])
+                row = start + i
+                p, q = slice(off_p[i], off_p[i + 1]), slice(off_r[i], off_r[i + 1])
+                inv_4r = np.concatenate([inv_p[p], inv_r[q]])
+                size = rhos.shape[1] * inv_4r.size
                 if buf.size < size:
                     buf = np.empty(size)
                 x = buf[:size].reshape(rhos.shape[1], -1)
-                np.multiply.outer(rhos[row] ** 2, inv_4r[nodes], out=x)
-                out[row] = spatial(x, out=x) @ kernel_w[nodes]
+                np.multiply.outer(rhos[row] ** 2, inv_4r, out=x)
+                out[row] = spatial(x, out=x) @ np.concatenate([w_p[p], w_r[q]])
                 out[row] += self._tail(ti, si, rhos[row], r_cut, deficit)
         return 0.5 * self.noise_const * out
 
@@ -490,6 +487,11 @@ def _separation(x, y, space_dim: int) -> float:
 def _node_counts(edges: np.ndarray) -> np.ndarray:
     """Nodes per row of a ``_quad.panel_rule`` over +inf-padded edge rows."""
     return _GAUSS_ORDER * (np.count_nonzero(np.isfinite(edges), axis=1) - 1)
+
+
+def _offsets(counts: np.ndarray) -> list[int]:
+    """Start of each row's nodes in a flat array, then the end of the last."""
+    return [0, *np.cumsum(counts).tolist()]
 
 
 def _clip_mass(hi: np.ndarray, lo: np.ndarray, e: float) -> np.ndarray:
@@ -639,13 +641,13 @@ def _fit_loglog(lags: np.ndarray, vals: np.ndarray) -> SlopeFit:
     return SlopeFit(slope=float(slope), rms_residual=float(np.sqrt(np.mean(resid**2))))
 
 
-def _golden_section(f, lo: float, hi: float, tol: float = 1e-7) -> float:
-    """Minimizer of a unimodal f on (lo, hi), to within tol."""
+def _golden_section(f, lo: float, hi: float) -> float:
+    """Minimizer of a unimodal f on (lo, hi), to within ``_GAMMA_TOL``."""
     shrink = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - shrink * (b - a), a + shrink * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _GAMMA_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - shrink * (b - a)
