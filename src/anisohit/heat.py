@@ -193,9 +193,14 @@ class HeatModel:
     # -- covariance ----------------------------------------------------------
 
     def variance(self, t):
-        """Pointwise variance of one component at time t (0 for t <= 0)."""
+        """Pointwise variance of one component at time t (0 for t <= 0).
+
+        Each power is a Python float power, so an array gives the bits that
+        scalar calls give (numpy's vectorized power may differ by an ulp).
+        """
         arr = np.asarray(t, dtype=float)
-        out = np.where(arr > 0.0, self.variance_const * np.maximum(arr, 0.0) ** self.time_exponent, 0.0)
+        kappa, e = self.variance_const, float(self.time_exponent)
+        out = np.array([kappa * v**e if v > 0.0 else 0.0 for v in arr.ravel().tolist()]).reshape(arr.shape)
         return float(out) if arr.ndim == 0 else out
 
     def variance_direct(self, t: float) -> float:
@@ -238,8 +243,7 @@ class HeatModel:
         out[apart] = np.sqrt(2.0 * self._cov_pairs(t[apart], t[apart], rho[apart, None], deficit=True)[:, 0])
         mixed = ~same
         tm, sm, rm = t[mixed], s[mixed], rho[mixed]
-        # scalar powers, as a single pair takes them (an array power may differ by an ulp)
-        va, vb = (np.array([self.variance(v) for v in u.tolist()]) for u in (tm, sm))
+        va, vb = self.variance(tm), self.variance(sm)
         cov = np.zeros(tm.shape)
         live = (tm > 0.0) & (sm > 0.0)
         cov[live] = self._cov_pairs(tm[live], sm[live], rm[live, None])[:, 0]

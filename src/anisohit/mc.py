@@ -12,6 +12,13 @@ flops of a dense product), and the minimum distance to the target is taken
 per replicate, with consecutive replicates stacked into one distance call of
 at most 4096 field points.
 
+``dpotrf`` and ``dtrmm`` are scipy's own compiled routines, loaded from the
+two f2py extension modules of ``scipy.linalg`` without importing that
+package: the package import costs about 0.25 s of every run (it pulls in
+``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``), the two modules about
+25 ms.  They are the objects that ``scipy.linalg.lapack`` and
+``scipy.linalg.blas`` re-export, so factors and samples are the same bits.
+
 Hitting is decided against a target set's distance function: a replicate
 hits when some grid point's field vector comes within the inflation radius
 of the set.  Raw (radius 0) and mesh-inflated frequencies bracket the
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +50,52 @@ _CHUNK = 256
 # field points stacked into one target.distance call, so that tiny grids
 # do not pay one Python call per replicate
 _DISTANCE_POINTS = 4096
+
+
+# -- compiled routines -------------------------------------------------------------
+
+
+def _linalg_extension(stem: str):
+    """Path of ``scipy.linalg``'s compiled module ``stem``, or None if absent."""
+    from importlib.machinery import EXTENSION_SUFFIXES
+    from pathlib import Path
+
+    import scipy
+
+    folder = Path(scipy.__file__).parent / "linalg"
+    return next((p for p in (folder / (stem + sfx) for sfx in EXTENSION_SUFFIXES) if p.is_file()), None)
+
+
+@cache
+def _lapack_blas():
+    """LAPACK ``dpotrf`` and BLAS ``dtrmm``, without importing ``scipy.linalg``.
+
+    Each f2py module is loaded from its file under the name the package
+    gives it, so a later ``import scipy.linalg`` finds it in ``sys.modules``
+    and re-exports the same objects.  scipy's file layout is private: when
+    either file is missing, the routines come from the public modules.
+    """
+    import sys
+    from importlib.machinery import ExtensionFileLoader
+    from importlib.util import module_from_spec, spec_from_loader
+
+    paths = {stem: _linalg_extension(stem) for stem in ("_flapack", "_fblas")}
+    if None in paths.values():
+        from scipy.linalg.blas import dtrmm
+        from scipy.linalg.lapack import dpotrf
+
+        return dpotrf, dtrmm
+    mods = {}
+    for stem, path in paths.items():
+        name = f"scipy.linalg.{stem}"
+        mod = sys.modules.get(name)
+        if mod is None:
+            loader = ExtensionFileLoader(name, str(path))
+            mod = module_from_spec(spec_from_loader(name, loader))
+            loader.exec_module(mod)
+            sys.modules[name] = mod
+        mods[stem] = mod
+    return mods["_flapack"].dpotrf, mods["_fblas"].dtrmm
 
 
 # -- grids and samples -----------------------------------------------------------
@@ -116,9 +170,10 @@ def factor_covariance(model: HeatModel, grid: SampleGrid) -> np.ndarray:
     upper one and a saved diagonal, the diagonal is lifted by 1e-10 of its
     largest entry, once more by 1e-9, and then the matrix is declared
     numerically singular.  A lift is logged as a warning.  The result is
-    C-contiguous and lower triangular.
+    C-contiguous and lower triangular.  ``dpotrf`` is scipy's, loaded by
+    ``_lapack_blas`` without the ``scipy.linalg`` package import.
     """
-    from scipy.linalg.lapack import dpotrf
+    dpotrf, _ = _lapack_blas()
 
     grid.validate_window(model)
     cov = covariance_matrix(model, np.asarray(grid.times), grid.sites)
@@ -160,8 +215,10 @@ def sample_fields(factor: np.ndarray, components: int, seed: int, reps: Sequence
     Only the lower triangle of ``factor`` is read.  The normals fill one row
     per (replicate, component) of a C-ordered buffer, whose transpose is the
     column-major operand that ``dtrmm`` overwrites; the result is a view of it.
+    ``dtrmm`` is scipy's, loaded by ``_lapack_blas`` without the
+    ``scipy.linalg`` package import.
     """
-    from scipy.linalg.blas import dtrmm
+    _, dtrmm = _lapack_blas()
 
     n = factor.shape[0]
     zt = np.empty((len(reps) * components, n))

@@ -74,8 +74,8 @@ class Ball(TargetSet):
         object.__setattr__(self, "center", center)
         if not all(math.isfinite(c) for c in center):
             raise ConfigurationError("ball center must be finite")
-        if not self.radius >= 0.0:
-            raise ConfigurationError("radius must be nonnegative")
+        if not 0.0 <= self.radius < math.inf:
+            raise ConfigurationError("radius must be finite and nonnegative")
 
     @property
     def dim(self) -> int:
@@ -121,6 +121,8 @@ class Box(TargetSet):
         hi = tuple(float(v) for v in np.atleast_1d(np.asarray(self.hi, dtype=float)))
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
+        if not all(math.isfinite(v) for v in lo + hi):
+            raise ConfigurationError("box bounds must be finite")
         if len(lo) != len(hi) or not all(a <= b for a, b in zip(lo, hi)):
             raise ConfigurationError("box needs lo <= hi componentwise")
 
@@ -238,9 +240,16 @@ class CantorDust(TargetSet):
         starts, ends = self._intervals()
         lo_idx = np.floor(starts / side).astype(np.int64)
         hi_idx = np.floor(ends / side).astype(np.int64)
-        _guard_cover_size(int(np.sum(hi_idx - lo_idx + 1)))
-        chunks = [np.arange(a, b + 1) for a, b in zip(lo_idx, hi_idx)]
-        return np.unique(np.concatenate(chunks))
+        counts = hi_idx - lo_idx + 1
+        total = int(np.sum(counts))
+        _guard_cover_size(total)
+        # interval k's cells lo_idx[k] .. hi_idx[k], all in one expansion;
+        # the intervals are sorted and disjoint, so the cells come sorted and
+        # only a cell shared by neighbouring intervals repeats (np.unique
+        # would hash them and import numpy.ma on its first call)
+        first = np.cumsum(counts) - counts
+        cells = np.repeat(lo_idx - first, counts) + np.arange(total)
+        return cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
 
     def dyadic_cells(self, side: float) -> np.ndarray:
         axis = self._axis_cells(side)
@@ -452,7 +461,10 @@ def capacity(
 def _simplex_min_quadratic(
     K: np.ndarray, tol: float, max_iter: int
 ) -> tuple[np.ndarray, float, float, int]:
-    """min mu' K mu on the simplex by away-step Frank-Wolfe with exact line search."""
+    """min mu' K mu on the simplex by away-step Frank-Wolfe with exact line search.
+
+    K is symmetric, so a vertex's column is read as its contiguous row.
+    """
     n = K.shape[0]
     mu = np.full(n, 1.0 / n)
     q = K @ mu
@@ -477,7 +489,7 @@ def _simplex_min_quadratic(
             f = (1 - step) ** 2 * f + 2 * step * (1 - step) * q[s] + step**2 * K[s, s]
             mu *= 1.0 - step
             mu[s] += step
-            q = (1.0 - step) * q + step * K[:, s]
+            q = (1.0 - step) * q + step * K[s]
         else:
             g_max = mu[v] / (1.0 - mu[v]) if mu[v] < 1.0 else 1.0
             denom = f - 2.0 * q[v] + K[v, v]
@@ -486,7 +498,7 @@ def _simplex_min_quadratic(
             mu *= 1.0 + step
             drop = step >= g_max * (1.0 - 1e-14)
             mu[v] = 0.0 if drop else mu[v] - step
-            q = (1.0 + step) * q - step * K[:, v]
+            q = (1.0 + step) * q - step * K[v]
     q = K @ mu
     f = float(mu @ q)
     gap = 2.0 * float(mu @ q - np.min(q))

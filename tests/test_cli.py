@@ -205,10 +205,14 @@ _HIT_MC_2D = "hurst = 0.75\ncomponents = 2\nn_times = 4\nn_sites = 4\nn_samples 
         ("hit-mc", _HIT_MC_2D + "target = points\ntarget_points = 0 nan; 1 1\n"),
         ("hit-mc", _HIT_MC_2D + "target = points\ntarget_points = 0 x; 1 1\n"),
         ("hit-mc", _HIT_MC_2D + "target = points\ntarget_points = 0 0; 1\n"),
+        ("hit-mc", _HIT_MC_2D + "target = ball\ntarget_center = 0, 0\ntarget_radius = inf\n"),
+        ("capacity", "target = interval\ntarget_hi = inf\nriesz_beta = 0.3\n"),
+        ("capacity", "target = interval\ntarget_lo = -inf\nriesz_beta = 0.3\n"),
     ],
     ids=[
         "beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative",
         "small-ball-eps-nan", "ball-center-nan", "points-nan", "points-bad-token", "points-ragged",
+        "ball-radius-inf", "interval-hi-inf", "interval-lo-inf",
     ],
 )
 def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
@@ -301,13 +305,37 @@ def _assert_unloaded(module):
 
 
 # scipy.stats costs about a second of start-up, scipy.special about half of
-# one; the sampler imports scipy.linalg and alpha > 0 models scipy.special
-# themselves, so importing the package loads none of them
+# one and scipy.linalg a quarter; alpha > 0 models import scipy.special
+# themselves, and the sampler loads two compiled modules of scipy.linalg
+# without the package, so importing anisohit loads none of them
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg", "scipy.special"])
 def test_package_import_leaves_scipy_module_unloaded(module):
     proc = _fresh_interpreter(
         "import anisohit.cli, anisohit.gauges, anisohit.heat, anisohit.mc, anisohit.potential\n"
         + _assert_unloaded(module)
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_hit_mc_run_leaves_scipy_linalg_unloaded(tmp_path):
+    cfg = _write(tmp_path, _HIT_MC_2D + "target = ball\ntarget_center = 0, 0\ntarget_radius = 0.4\n")
+    proc = _fresh_interpreter(
+        "from anisohit.cli import main\n"
+        f"assert main(['hit-mc', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        + _assert_unloaded("scipy.linalg")
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "hit-mc.csv").is_file()
+
+
+def test_sampler_routines_are_the_ones_scipy_linalg_exports():
+    # loaded first, the compiled modules are what the package later re-exports
+    proc = _fresh_interpreter(
+        "from anisohit.mc import _lapack_blas\n"
+        "dpotrf, dtrmm = _lapack_blas()\n"
+        + _assert_unloaded("scipy.linalg")
+        + "import scipy.linalg\n"
+        "assert dpotrf is scipy.linalg.lapack.dpotrf and dtrmm is scipy.linalg.blas.dtrmm\n"
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -173,6 +173,29 @@ def test_indefinite_covariance_raises(monkeypatch):
         factor_covariance(m, SampleGrid.regular(m, 3, 1))
 
 
+def test_public_scipy_modules_serve_when_the_compiled_files_are_not_found(monkeypatch):
+    # scipy's file layout is private; without the files, the routines come
+    # from scipy.linalg itself and give the same bits
+    m = _model()
+    grid = SampleGrid.regular(m, 3, 4)
+    L = factor_covariance(m, grid)
+    fields = sample_fields(L, 2, 7, [0, 5])
+    asked = []
+
+    def not_found(stem):
+        asked.append(stem)
+        return None
+
+    monkeypatch.setattr(anisohit.mc, "_linalg_extension", not_found)
+    anisohit.mc._lapack_blas.cache_clear()
+    try:
+        assert np.array_equal(factor_covariance(m, grid), L)
+        assert np.array_equal(sample_fields(L, 2, 7, [0, 5]), fields)
+    finally:
+        anisohit.mc._lapack_blas.cache_clear()
+    assert asked
+
+
 # -- keyed randomness ------------------------------------------------------------------
 
 

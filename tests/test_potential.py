@@ -1,5 +1,6 @@
 """Capacities, the simplex optimizer, target geometry, and dyadic covers."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -7,12 +8,15 @@ import pytest
 
 from anisohit.errors import ConfigurationError, KernelError
 from anisohit.gauges import GaugeSpec, GaugeSystem
+from anisohit.heat import HeatModel, model_gauges
 from anisohit.potential import (
     Ball,
     Box,
     CantorDust,
     PointSet,
     PotentialKernel,
+    _guard_cover_size,
+    _product_grid,
     _simplex_min_quadratic,
     _unit_pair_seps,
     capacity,
@@ -77,6 +81,42 @@ def test_dyadic_cells_match_counts():
         assert cells.shape[1] == target.dim
 
 
+def _looped_cantor_axis(dust, side):
+    # one arange per interval, as the cover was first built
+    starts, ends = dust._intervals()
+    lo_idx = np.floor(starts / side).astype(np.int64)
+    hi_idx = np.floor(ends / side).astype(np.int64)
+    _guard_cover_size(int(np.sum(hi_idx - lo_idx + 1)))
+    return np.unique(np.concatenate([np.arange(a, b + 1) for a, b in zip(lo_idx, hi_idx)]))
+
+
+@pytest.mark.parametrize("limit", [1 << 22, 1 << 12], ids=["limit-2^22", "limit-2^12"])
+@pytest.mark.parametrize("level", [0, 1, 3, 8, 14])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cantor_cover_equals_the_per_interval_loop(monkeypatch, limit, level, dim):
+    # the small limit makes both cover guards fire inside the ladder of sides
+    monkeypatch.setattr("anisohit.potential._MAX_COVER_CELLS", limit)
+    dust = CantorDust(level=level, dim=dim)
+    for m in range(21):
+        side = 2.0**-m
+        try:
+            axis = _looped_cantor_axis(dust, side)
+        except ConfigurationError:
+            for cover in (dust.dyadic_count, dust.dyadic_cells):
+                with pytest.raises(ConfigurationError):
+                    cover(side)
+            continue
+        n_cells = len(axis) ** dim
+        assert dust.dyadic_count(side) == n_cells
+        if n_cells > limit:
+            with pytest.raises(ConfigurationError):
+                dust.dyadic_cells(side)
+        elif n_cells <= 1 << 12:  # larger covers cost seconds to compare
+            want = _product_grid([axis.astype(float)] * dim).astype(np.int64)
+            got = dust.dyadic_cells(side)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_oversized_cover_is_rejected():
     with pytest.raises(ConfigurationError):
         Box(lo=(0.0,), hi=(1.0,)).dyadic_cells(2.0**-24)
@@ -93,6 +133,9 @@ def test_oversized_cover_is_rejected():
         lambda: CantorDust(level=2, dim=4),
         lambda: Ball(center=(np.nan, 0.0), radius=0.5),
         lambda: PointSet(points=np.array([[0.0], [np.inf]])),
+        lambda: Ball(center=(0.0,), radius=math.inf),
+        lambda: Box(lo=(0.0,), hi=(math.inf,)),
+        lambda: Box(lo=(0.0, -math.inf), hi=(1.0, 1.0)),
     ],
 )
 def test_invalid_targets_are_rejected(build):
@@ -219,6 +262,39 @@ def test_capacity_certificate_and_minimizer():
     assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
     # the equilibrium measure on an interval loads the endpoints
     assert w[0] > np.median(w[w > 0])
+
+
+# Recorded from the column-reading Frank-Wolfe iteration (numpy 2.4.6,
+# OpenBLAS 0.3.31, x86-64): reading rows of the symmetric K must not move a bit.
+@pytest.mark.parametrize(
+    "case, energy, gap, iterations, weights_sha256",
+    [
+        (
+            "interval",
+            "0x1.a5fd52b37f1f8p+0",
+            "0x1.b6c596c000000p-20",
+            8133,
+            "20470ecbd7178827dbcf0b5a1f5e5037314a9e412dbc7384a7167c28f15f64e3",
+        ),
+        (
+            "gauge",
+            "0x1.892bfe9cd0086p+0",
+            "0x1.927eedd400000p-20",
+            1737,
+            "b0765e43562b67e74e2b779e4ca001409c8680842fd373ea5894fe491a83a53b",
+        ),
+    ],
+    ids=["interval", "gauge"],
+)
+def test_capacity_solve_is_pinned_bit_for_bit(case, energy, gap, iterations, weights_sha256):
+    if case == "interval":
+        rep = capacity(riesz_kernel(0.3, 1), Box(lo=(0.0,), hi=(1.0,)), n_cells=1024)
+    else:
+        # the critical model's power-log gauge, on a box inside R^4
+        kernel = kernel_from_gauge(model_gauges(HeatModel(hurst=0.75, components=4)))
+        rep = capacity(kernel, Box(lo=(0.0,) * 4, hi=(0.5, 1.0, 0.25, 0.0)), n_cells=256)
+    assert (rep.energy.hex(), rep.gap.hex(), rep.iterations) == (energy, gap, iterations)
+    assert hashlib.sha256(rep.weights.tobytes()).hexdigest() == weights_sha256
 
 
 def test_capacity_error_contracts():
