@@ -10,7 +10,8 @@ Per chunk of replicates, the normals are drawn straight into the layout of
 one in-place triangular multiply by the factor (BLAS ``dtrmm``, half the
 flops of a dense product), and the minimum distance to the target is taken
 per replicate, with consecutive replicates stacked into one distance call of
-at most 4096 field points.
+at most 4096 field points.  Each chunk is released before the next is drawn,
+so a run holds one (n x n) factor and one chunk of field values.
 
 ``dpotrf`` and ``dtrmm`` are scipy's own compiled routines, loaded from the
 two f2py extension modules of ``scipy.linalg`` without importing that
@@ -308,6 +309,8 @@ def _min_distances(
             # one replicate reshapes to a view; several stack into a copy
             dist = target.distance(part.reshape(-1, comps))
             out[start + lo : start + lo + len(part)] = dist.reshape(len(part), n).min(axis=1)
+        # let this chunk go before the next is drawn, so only one is held
+        del fields, part
     return out
 
 

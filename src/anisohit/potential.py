@@ -197,7 +197,12 @@ class PointSet(TargetSet):
     def dyadic_cells(self, side: float) -> np.ndarray:
         if len(self.points) == 0:
             return np.zeros((0, self.dim), dtype=np.int64)
-        return np.unique(np.floor(self.points / side).astype(np.int64), axis=0)
+        # rows sorted lexicographically, repeats dropped by comparing
+        # neighbours: np.unique(axis=0) gives the same rows but imports
+        # numpy.ma on its first call
+        cells = np.floor(self.points / side).astype(np.int64)
+        cells = cells[np.lexsort(cells.T[::-1])]
+        return cells[np.concatenate(([True], np.any(cells[1:] != cells[:-1], axis=1)))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -464,6 +469,8 @@ def _simplex_min_quadratic(
     """min mu' K mu on the simplex by away-step Frank-Wolfe with exact line search.
 
     K is symmetric, so a vertex's column is read as its contiguous row.
+    ``q = K mu`` is updated in place, and the away vertex is the first
+    maximum of q over the support of mu, found in two preallocated buffers.
     """
     n = K.shape[0]
     mu = np.full(n, 1.0 / n)
@@ -471,17 +478,21 @@ def _simplex_min_quadratic(
     f = float(mu @ q)
     gap = 0.0
     refresh = 256
+    on_support = np.empty(n, dtype=bool)
+    q_support = np.empty(n)  # q on the support of mu, -inf off it
     for it in range(max_iter):
         if it % refresh == refresh - 1:
             q = K @ mu
             f = float(mu @ q)
         mq = float(mu @ q)
-        s = int(np.argmin(q))
+        s = int(q.argmin())
         gap = 2.0 * (mq - q[s])
         if gap <= tol * max(f, 1e-300):
             return mu, f, gap, it
-        support = np.flatnonzero(mu > 0.0)
-        v = support[int(np.argmax(q[support]))]
+        np.greater(mu, 0.0, out=on_support)
+        q_support.fill(-np.inf)
+        np.copyto(q_support, q, where=on_support)
+        v = int(q_support.argmax())
         away_gap = 2.0 * (q[v] - mq)
         if gap >= away_gap:
             denom = f - 2.0 * q[s] + K[s, s]
@@ -489,7 +500,8 @@ def _simplex_min_quadratic(
             f = (1 - step) ** 2 * f + 2 * step * (1 - step) * q[s] + step**2 * K[s, s]
             mu *= 1.0 - step
             mu[s] += step
-            q = (1.0 - step) * q + step * K[s]
+            q *= 1.0 - step
+            q += step * K[s]
         else:
             g_max = mu[v] / (1.0 - mu[v]) if mu[v] < 1.0 else 1.0
             denom = f - 2.0 * q[v] + K[v, v]
@@ -498,7 +510,8 @@ def _simplex_min_quadratic(
             mu *= 1.0 + step
             drop = step >= g_max * (1.0 - 1e-14)
             mu[v] = 0.0 if drop else mu[v] - step
-            q = (1.0 + step) * q - step * K[v]
+            q *= 1.0 + step
+            q -= step * K[v]
     q = K @ mu
     f = float(mu @ q)
     gap = 2.0 * float(mu @ q - np.min(q))

@@ -328,6 +328,21 @@ def test_hit_mc_run_leaves_scipy_linalg_unloaded(tmp_path):
     assert (tmp_path / "hit-mc.csv").is_file()
 
 
+def test_hausdorff_run_on_points_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique(axis=0) would import numpy.ma on its first call
+    cfg = _write(
+        tmp_path,
+        "target = points\ntarget_points = 0 0; 0.3 -0.7; 0.31 -0.69\ngauge_gamma = 0.5\neps = 0.5, 0.05\n",
+    )
+    proc = _fresh_interpreter(
+        "from anisohit.cli import main\n"
+        f"assert main(['hausdorff', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        + _assert_unloaded("numpy.ma")
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "hausdorff.csv").is_file()
+
+
 def test_sampler_routines_are_the_ones_scipy_linalg_exports():
     # loaded first, the compiled modules are what the package later re-exports
     proc = _fresh_interpreter(

@@ -102,6 +102,24 @@ def test_factor_holds_one_covariance_sized_array():
     assert peak <= 1.25 * L.nbytes
 
 
+def test_min_distances_hold_one_chunk():
+    # each chunk of field values is let go before the next is drawn; holding
+    # the previous one while sampling would double the traced peak
+    m = _model(components=2)
+    L = factor_covariance(m, SampleGrid.regular(m, 16, 16))
+    target = Ball(center=(0.1, -0.2), radius=0.3)
+    _min_distances(m, L, target, n_samples=100, seed=1)  # warms up untraced
+    n_samples = 2 * anisohit.mc._CHUNK + 17  # the last chunk is short
+    tracemalloc.start()
+    try:
+        _min_distances(m, L, target, n_samples=n_samples, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    chunk_bytes = anisohit.mc._CHUNK * m.components * L.shape[0] * 8
+    assert peak <= 1.5 * chunk_bytes
+
+
 def test_sampled_variance_matches_the_model():
     m = _model()
     grid = SampleGrid(times=(0.5,), site_axes=((0.0,),))

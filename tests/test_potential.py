@@ -81,6 +81,21 @@ def test_dyadic_cells_match_counts():
         assert cells.shape[1] == target.dim
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_points", [1, 2, 300])
+def test_point_set_cells_equal_np_unique_rows(dim, n_points):
+    # lexicographic rows without repeats, as np.unique(axis=0) gives them
+    rng = np.random.default_rng(dim * 1000 + n_points)
+    pts = rng.normal(scale=2.0, size=(n_points, dim))  # negative cells too
+    if n_points > 1:
+        pts[n_points // 2 :] = pts[: n_points - n_points // 2]  # repeated points
+    pts[-1] += 0.01  # a point sharing its neighbour's cell at coarse sides
+    for side in (4.0, 1.0, 0.3, 1.0 / 64.0):
+        want = np.unique(np.floor(pts / side).astype(np.int64), axis=0)
+        got = PointSet(pts).dyadic_cells(side)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _looped_cantor_axis(dust, side):
     # one arange per interval, as the cover was first built
     starts, ends = dust._intervals()
