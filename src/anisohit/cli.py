@@ -76,6 +76,15 @@ def _info_row(experiment: str, params: str, observed: float) -> ReportRow:
     return ReportRow(experiment, params, observed, observed, 0.0, True)
 
 
+def _flag_row(experiment: str, params: str, flag: bool, expected=None) -> ReportRow:
+    """A yes/no verdict written as 1 or 0; passes when it equals ``expected``,
+    or is only reported when ``expected`` is None."""
+    observed = 1.0 if flag else 0.0
+    if expected is None:
+        return _info_row(experiment, params, observed)
+    return ReportRow(experiment, params, observed, float(expected), 0.0, bool(flag) == bool(expected))
+
+
 def emit_csv(rows: list[ReportRow], path: Path) -> None:
     if not rows:
         raise ValueError("no rows to write")
@@ -159,6 +168,13 @@ class ConfigReader:
 
 
 _REQUIRED = object()
+
+
+def _positive(key: str, value: float) -> float:
+    """``value`` of config key ``key``, which must be positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ConfigurationError(f"config key {key!r} must be positive and finite, got {value!r}")
+    return value
 
 
 def _float_list(text: str) -> list:
@@ -248,16 +264,9 @@ def _run_gauge_check(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     growth = check_growth(system, grid_size=grid_size)
     params = f"e={system.power_exponent:.6g}"
     rows = [
-        ReportRow(
-            "gauge-monotone",
-            params,
-            1.0 if mono.increasing_on_some_interval else 0.0,
-            float(expect_increasing),
-            0.0,
-            mono.increasing_on_some_interval == bool(expect_increasing),
-        ),
-        _info_row("gauge-polar", params, 1.0 if mono.polar_points else 0.0),
-        ReportRow("growth-finite", params, 1.0 if growth.ok else 0.0, 1.0, 0.0, growth.ok),
+        _flag_row("gauge-monotone", params, mono.increasing_on_some_interval, expect_increasing),
+        _flag_row("gauge-polar", params, mono.polar_points),
+        _flag_row("growth-finite", params, growth.ok, True),
     ]
     if limit_ref is not None:
         rows.append(
@@ -274,8 +283,8 @@ def _run_gauge_check(cfg: ConfigReader, seed: int) -> list[ReportRow]:
 
 def _run_variance_scaling(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     model = _model_from(cfg)
-    t_ref = cfg.float("t_ref", 0.25)
-    factors = cfg.floats("factors", [0.5, 2.0, 4.0])
+    t_ref = _positive("t_ref", cfg.float("t_ref", 0.25))
+    factors = [_positive("factors", c) for c in cfg.floats("factors", [0.5, 2.0, 4.0])]
     rel_tol = cfg.float("rel_tol", 1e-6)
     cfg.reject_unknown()
 
@@ -303,6 +312,8 @@ def _run_metric_equivalence(cfg: ConfigReader, seed: int) -> list[ReportRow]:
 
     model = _model_from(cfg)
     n_pairs = cfg.int("n_pairs", 1000)
+    if n_pairs < 2:  # one pair's band is 1 whatever the metric
+        raise ConfigurationError(f"config key 'n_pairs' must be at least 2, got {n_pairs}")
     band_limit = cfg.float("band_limit", 50.0)
     cfg.reject_unknown()
 
@@ -372,6 +383,8 @@ def _run_capacity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     expect = cfg.float("expect_capacity", None)
     expect_rel = cfg.float("expect_rel_tol", 0.01)
     scale = cfg.float("homogeneity_scale", None)
+    if scale is not None:
+        _positive("homogeneity_scale", scale)
     cfg.reject_unknown()
 
     kernel = riesz_kernel(beta, target.dim)
@@ -414,6 +427,8 @@ def _run_hausdorff(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     eps = cfg.floats("eps", _REQUIRED)
     ref = cfg.float("expect_value", None)
     factor = cfg.float("expect_factor", 2.0)
+    if not 1.0 <= factor < math.inf:  # below 1 no value passes, at inf every value does
+        raise ConfigurationError(f"config key 'expect_factor' must be finite and at least 1, got {factor!r}")
     cfg.reject_unknown()
 
     estimates = hausdorff_upper(lambda t: t**gamma, target, eps)
@@ -511,20 +526,7 @@ def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     system = model_gauges(model)
     mono = check_monotonicity(system)
     params = f"H={model.hurst:g};D={model.components};n={n_samples};seed={seed}"
-    rows = []
-    if expect_polar is None:
-        rows.append(_info_row("polar-verdict", params, 1.0 if mono.polar_points else 0.0))
-    else:
-        rows.append(
-            ReportRow(
-                "polar-verdict",
-                params,
-                1.0 if mono.polar_points else 0.0,
-                float(expect_polar),
-                0.0,
-                mono.polar_points == bool(expect_polar),
-            )
-        )
+    rows = [_flag_row("polar-verdict", params, mono.polar_points, expect_polar)]
     estimates = point_trend(model, center, shapes, n_samples=n_samples, seed=seed)
     ps = [e.inflated.p_hat for e in estimates]
     for (nt, ns), est in zip(shapes, estimates):
@@ -535,9 +537,7 @@ def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
         )
     if mono.polar_points:
         decreasing = all(a > b for a, b in zip(ps, ps[1:]))
-        rows.append(
-            ReportRow("polar-trend-decreasing", params, 1.0 if decreasing else 0.0, 1.0, 0.0, decreasing)
-        )
+        rows.append(_flag_row("polar-trend-decreasing", params, decreasing, True))
     return rows
 
 

@@ -266,26 +266,27 @@ class GaugeSystem:
 
     # -- growth integral ----------------------------------------------------
 
-    def growth_integral(self, tau: float) -> float:
-        """The truncated potential-growth integral evaluated at gauge value tau.
+    def log_growth_integral(self, log_taus) -> np.ndarray:
+        """log v(tau) of the truncated potential-growth integral v at gauge
+        values tau = exp(log_taus), given in decreasing order.
 
-        For a shared gauge this is the radial form
+        For a shared gauge v is the radial form
         ``int_{q^{-1}(tau)}^{q^{-1}(cap)} q(r)^{-state_dim} r^{d-1} dr``;
         for distinct gauges it is the gauge-space form whose integrand
         involves both inverses and both derivatives.  Either way the
-        integration runs in log scale.
+        integration runs in log scale, one segment between consecutive
+        gauge values, and the segments accumulate from the cap down.  A tau
+        at or above diam_cap has v = 0, so log v = -inf.
         """
-        if not 0.0 < tau:
-            raise ConfigurationError("growth integral needs tau > 0")
-        if tau >= self.diam_cap:
-            return 0.0
+        u = np.asarray(log_taus, dtype=float)
+        if not (np.all(np.isfinite(u)) and np.all(np.diff(u) < 0.0)):
+            raise ConfigurationError("growth integral needs finite, decreasing log gauge values")
+        u_cap = math.log(self.diam_cap)
+        edges = np.minimum(np.concatenate([[u_cap], u]), u_cap)
         if self.is_single:
-            u_lo = float(self.q1._log_inverse(math.log(tau)))
-            u_hi = float(self.q1._log_inverse(math.log(self.diam_cap)))
-        else:
-            u_lo, u_hi = math.log(tau), math.log(self.diam_cap)
-        log_seg = self._log_growth_segment(u_lo, u_hi)
-        return float(np.exp(log_seg))
+            edges = np.asarray(self.q1._log_inverse(edges), dtype=float)
+        segments = [self._log_growth_segment(lo, hi) for hi, lo in zip(edges[:-1], edges[1:])]
+        return np.logaddexp.accumulate(segments)
 
     def _log_growth_integrand(self, u: np.ndarray) -> np.ndarray:
         """log of the growth integrand including the log-scale Jacobian."""
@@ -421,23 +422,8 @@ def check_growth(system: GaugeSystem, grid_size: int = 200) -> GrowthReport:
     if grid_size < 16:
         raise ConfigurationError("growth check needs grid_size >= 16")
     mono = check_monotonicity(system)
-    u_cap = math.log(system.diam_cap)
-    log2 = math.log(2.0)
-    u_taus = u_cap - log2 * np.arange(1, grid_size + 1)
-
-    # v(tau_k) accumulates segment integrals between consecutive grid points.
-    seg_edges = np.concatenate([[u_cap], u_taus])
-    if system.is_single:
-        seg_edges = np.asarray(system.q1._log_inverse(seg_edges), dtype=float)
-    log_v = np.empty(grid_size)
-    acc = -math.inf
-    for k in range(grid_size):
-        seg = system._log_growth_segment(seg_edges[k + 1], seg_edges[k])
-        acc = np.logaddexp(acc, seg)
-        log_v[k] = acc
-
-    log_g = system._log_hausdorff(u_taus)
-    seq_log = log_v + log_g
+    u_taus = math.log(system.diam_cap) - math.log(2.0) * np.arange(1, grid_size + 1)
+    seq_log = system.log_growth_integral(u_taus) + system._log_hausdorff(u_taus)
     finite = bool(np.all(np.isfinite(seq_log)))
 
     tail = slice(3 * grid_size // 4, grid_size)

@@ -49,6 +49,7 @@ _GAMMA_TOL = 1e-7  # width at which spatial_slope's golden-section search stops
 _GAUSS_ORDER = 12  # points per panel of the covariance rule
 _PANELS_PER_LEVEL = 10  # about the most panels a rule has per level of its depth
 _RULE_CHUNK_NODES = 2**14  # rule nodes built in one array pass
+_T_REF = 0.5  # time at which the slope fits read the metric
 
 
 @dataclass(frozen=True)
@@ -213,13 +214,6 @@ class HeatModel:
         if t <= 0.0:
             return 0.0
         return float(self._cov_batch(t, t, np.zeros(1))[0])
-
-    def covariance(self, t: float, x, s: float, y) -> float:
-        """cov of one component between space-time points (t, x) and (s, y)."""
-        rho = _separation(x, y, self.space_dim)
-        if t <= 0.0 or s <= 0.0:
-            return 0.0
-        return float(self._cov_batch(t, s, np.asarray([rho]))[0])
 
     def metric(self, t: float, x, s: float, y) -> float:
         """Canonical metric sqrt(E[(u(t,x) - u(s,y))^2]) for one component."""
@@ -584,17 +578,15 @@ class SlopeFit:
     rms_residual: float
 
 
-def temporal_slope(model: HeatModel, *, t_ref: float = 0.5, lags=None) -> SlopeFit:
-    """Log-log slope of the metric along the time axis at a fixed site."""
-    if lags is None:
-        lags = 2.0 ** -np.arange(4, 15)
-    lags = np.asarray(lags, dtype=float)
-    vals = model.metrics(np.full(lags.shape, t_ref), t_ref + lags, np.zeros(lags.shape))
+def temporal_slope(model: HeatModel) -> SlopeFit:
+    """Log-log slope of the metric at t = 0.5 and a fixed site, lags 2^-4 .. 2^-14."""
+    lags = 2.0 ** -np.arange(4, 15)
+    vals = model.metrics(np.full(lags.shape, _T_REF), _T_REF + lags, np.zeros(lags.shape))
     return _fit_loglog(lags, vals)
 
 
-def spatial_slope(model: HeatModel, *, t_ref: float = 0.5, seps=None) -> SlopeFit:
-    """Spatial order of the metric at a fixed time, from a three-term fit.
+def spatial_slope(model: HeatModel) -> SlopeFit:
+    """Spatial order of the metric at t = 0.5, from a three-term fit.
 
     At small separations the squared metric is c1 rho^(2 gamma) + c2 rho^2
     + c4 rho^4 + ..., gamma being the time exponent 2H - b.  Near the
@@ -605,10 +597,10 @@ def spatial_slope(model: HeatModel, *, t_ref: float = 0.5, seps=None) -> SlopeFi
     golden-section search on (0, 2.5), which holds the exponent of every
     well-posed model.  The metric's order is min(gamma, 1), since above 1
     the rho^2 term leads; ``rms_residual`` is the RMS relative residual of
-    the squared metric at that gamma.
+    the squared metric at that gamma, over the separations of ``_seps``.
     """
-    seps = _default_seps() if seps is None else np.asarray(seps, dtype=float)
-    sq = model._spatial_sq(t_ref, seps)
+    seps = _seps()
+    sq = model._spatial_sq(_T_REF, seps)
 
     def residual(gamma: float) -> float:
         cols = np.stack([seps ** (2.0 * gamma), seps**2, seps**4], axis=1) / sq[:, None]
@@ -620,21 +612,22 @@ def spatial_slope(model: HeatModel, *, t_ref: float = 0.5, seps=None) -> SlopeFi
     return SlopeFit(slope=min(gamma, 1.0), rms_residual=residual(gamma))
 
 
-def spatial_gauge_residual(model: HeatModel, gauge: GaugeSpec, *, t_ref: float = 0.5, seps=None) -> float:
-    """RMS residual of log metric against log gauge with unit slope.
+def spatial_gauge_residual(model: HeatModel, gauge: GaugeSpec) -> float:
+    """RMS residual of log metric against log gauge with unit slope, at t = 0.5.
 
     Small exactly when the gauge captures the metric's spatial modulus up to
     a constant; comparing the residual for the log-corrected gauge against
     the pure power quantifies which one the data supports.
     """
-    seps = _default_seps() if seps is None else np.asarray(seps, dtype=float)
-    vals = np.sqrt(model._spatial_sq(t_ref, seps))
+    seps = _seps()
+    vals = np.sqrt(model._spatial_sq(_T_REF, seps))
     resid = np.log(vals) - np.log(gauge.value(seps))
     resid = resid - np.mean(resid)
     return float(np.sqrt(np.mean(resid**2)))
 
 
-def _default_seps() -> np.ndarray:
+def _seps() -> np.ndarray:
+    """The separations of the spatial fits, 1e-4 .. 1e-1."""
     return np.logspace(-4.0, -1.0, 13)
 
 

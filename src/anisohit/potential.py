@@ -47,7 +47,11 @@ class TargetSet:
         raise NotImplementedError
 
     def dyadic_cells(self, side: float) -> np.ndarray:
-        """Integer index rows of half-open dyadic cells meeting the set."""
+        """Integer index rows of half-open dyadic cells meeting the set.
+
+        Sets whose cover is a product of axis ranges (``Box``, ``CantorDust``)
+        count it directly in ``dyadic_count`` and do not list it.
+        """
         raise NotImplementedError
 
     def dyadic_count(self, side: float) -> int:
@@ -150,44 +154,32 @@ class Box(TargetSet):
         centers = _product_grid(axes)
         return centers, np.full(len(centers), float(w))
 
-    def dyadic_cells(self, side: float) -> np.ndarray:
-        ranges = [_interval_cell_range(a, b, side) for a, b in zip(self.lo, self.hi)]
-        _guard_cover_size(int(np.prod([len(r) for r in ranges])))
-        return _product_grid([r.astype(float) for r in ranges]).astype(np.int64)
-
     def dyadic_count(self, side: float) -> int:
         return int(np.prod([len(_interval_cell_range(a, b, side)) for a, b in zip(self.lo, self.hi)]))
 
 
 @dataclass(frozen=True, eq=False)
 class PointSet(TargetSet):
-    """A finite set of points; may be empty, in which case nothing is ever hit."""
+    """A finite set of at least one point; a 1-d array holds points on a line."""
 
     points: np.ndarray
-    ambient_dim: int = 0
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0:
-            dim = pts.shape[1] if pts.ndim == 2 and pts.shape[1] > 0 else self.ambient_dim
-            if dim < 1:
-                raise ConfigurationError("empty point set needs an explicit ambient_dim")
-            pts = pts.reshape(0, dim)
-        elif pts.ndim == 1:
+            raise ConfigurationError("a point set needs at least one point")
+        if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("points must be finite")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "ambient_dim", pts.shape[1])
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim
+        return self.points.shape[1]
 
     def distance(self, points) -> np.ndarray:
         pts = self._points2d(points)
-        if len(self.points) == 0:
-            return np.full(len(pts), math.inf)
         diffs = pts[:, None, :] - self.points[None, :, :]
         return np.min(np.linalg.norm(diffs, axis=2), axis=1)
 
@@ -195,8 +187,6 @@ class PointSet(TargetSet):
         return self.points.copy(), np.zeros(len(self.points))
 
     def dyadic_cells(self, side: float) -> np.ndarray:
-        if len(self.points) == 0:
-            return np.zeros((0, self.dim), dtype=np.int64)
         # rows sorted lexicographically, repeats dropped by comparing
         # neighbours: np.unique(axis=0) gives the same rows but imports
         # numpy.ma on its first call
@@ -207,27 +197,20 @@ class PointSet(TargetSet):
 
 @dataclass(frozen=True, eq=False)
 class CantorDust(TargetSet):
-    """Product of middle-thirds Cantor prefractals at a fixed recursion level."""
+    """Product of middle-thirds Cantor prefractals of [0, 1] at a fixed recursion level."""
 
     level: int
-    lo: float = 0.0
-    hi: float = 1.0
     dim: int = 1
 
     def __post_init__(self):
         if not 0 <= self.level <= 20:
             raise ConfigurationError("cantor level must lie in [0, 20]")
-        if not self.lo < self.hi:
-            raise ConfigurationError("need lo < hi")
         if not 1 <= self.dim <= 3:
             raise ConfigurationError("cantor dust supports dim 1..3")
 
-    def _intervals(self) -> tuple[np.ndarray, np.ndarray]:
-        return _cantor_intervals(self.level, self.lo, self.hi)
-
     def distance(self, points) -> np.ndarray:
         pts = self._points2d(points)
-        starts, ends = self._intervals()
+        starts, ends = _cantor_intervals(self.level)
         per_axis = [_interval_union_distance(pts[:, k], starts, ends) for k in range(self.dim)]
         return np.linalg.norm(np.stack(per_axis, axis=1), axis=1)
 
@@ -235,14 +218,14 @@ class CantorDust(TargetSet):
         lvl = self.level
         while lvl > 0 and (2**lvl) ** self.dim > n_cells:
             lvl -= 1
-        starts, ends = _cantor_intervals(lvl, self.lo, self.hi)
+        starts, ends = _cantor_intervals(lvl)
         mids = 0.5 * (starts + ends)
         centers = _product_grid([mids] * self.dim)
         width = float(ends[0] - starts[0])
         return centers, np.full(len(centers), width)
 
     def _axis_cells(self, side: float) -> np.ndarray:
-        starts, ends = self._intervals()
+        starts, ends = _cantor_intervals(self.level)
         lo_idx = np.floor(starts / side).astype(np.int64)
         hi_idx = np.floor(ends / side).astype(np.int64)
         counts = hi_idx - lo_idx + 1
@@ -255,11 +238,6 @@ class CantorDust(TargetSet):
         first = np.cumsum(counts) - counts
         cells = np.repeat(lo_idx - first, counts) + np.arange(total)
         return cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
-
-    def dyadic_cells(self, side: float) -> np.ndarray:
-        axis = self._axis_cells(side)
-        _guard_cover_size(len(axis) ** self.dim)
-        return _product_grid([axis.astype(float)] * self.dim).astype(np.int64)
 
     def dyadic_count(self, side: float) -> int:
         return len(self._axis_cells(side)) ** self.dim
@@ -286,9 +264,9 @@ def _guard_cover_size(count: int) -> None:
 
 
 @lru_cache(maxsize=32)
-def _cantor_intervals(level: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    starts = np.asarray([lo])
-    length = hi - lo
+def _cantor_intervals(level: int) -> tuple[np.ndarray, np.ndarray]:
+    starts = np.asarray([0.0])
+    length = 1.0
     for _ in range(level):
         length /= 3.0
         starts = np.concatenate([starts, starts + 2.0 * length])
@@ -427,7 +405,8 @@ def capacity(
         raise ConfigurationError("capacity needs tol > 0")
     centers, widths = target.cells(n_cells)
     if len(centers) == 0:
-        raise ConfigurationError("capacity of an empty set is undefined")
+        # a ball in five or more dimensions can keep no cell center of a coarse grid
+        raise ConfigurationError(f"the target keeps no cell at n_cells = {n_cells}; raise n_cells")
     diffs = centers[:, None, :] - centers[None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=2))
     if np.any((dists == 0.0) & ~np.eye(len(centers), dtype=bool)):

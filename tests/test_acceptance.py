@@ -185,10 +185,9 @@ def test_criterion_06_growth_closed_forms_and_critical_limit():
     chi = 1.0 / 0.75 + 2.0 / 0.5
     expo = 6.0 - chi
     cap = system.diam_cap
-    taus = np.logspace(math.log10(cap * 1e-6), math.log10(cap * 0.99), 100)
-    for tau in taus:
-        want = (tau**-expo - cap**-expo) / (expo * 0.75 * 0.5)
-        assert system.growth_integral(float(tau)) == pytest.approx(want, rel=1e-8)
+    taus = np.logspace(math.log10(cap * 1e-6), math.log10(cap * 0.99), 100)[::-1]  # decreasing
+    want = (taus**-expo - cap**-expo) / (expo * 0.75 * 0.5)
+    assert np.exp(system.log_growth_integral(np.log(taus))) == pytest.approx(want, rel=1e-8)
     # critical balance state_dim == chi: the integral turns logarithmic.
     # A shared gauge takes the radial form, log(cap/tau)/nu; distinct
     # gauges take the gauge-space form, log(cap/tau)/(nu1*nu2).
@@ -198,11 +197,10 @@ def test_criterion_06_growth_closed_forms_and_critical_limit():
     distinct = GaugeSystem(
         q1=GaugeSpec.power(0.5), q2=GaugeSpec.power(0.25), d1=1, d2=1, state_dim=6, diam_cap=0.5
     )
-    for tau in taus:
-        want = math.log(cap / tau) / 0.5
-        assert shared.growth_integral(float(tau)) == pytest.approx(want, rel=1e-8)
-        want = math.log(cap / tau) / 0.125
-        assert distinct.growth_integral(float(tau)) == pytest.approx(want, rel=1e-8)
+    want = np.log(cap / taus) / 0.5
+    assert np.exp(shared.log_growth_integral(np.log(taus))) == pytest.approx(want, rel=1e-8)
+    want = np.log(cap / taus) / 0.125
+    assert np.exp(distinct.log_growth_integral(np.log(taus))) == pytest.approx(want, rel=1e-8)
     # log-corrected spatial gauge of the critical field model
     system = model_gauges(HeatModel(hurst=0.75, space_dim=1, alpha=0.0, components=4))
     nu1, nu2 = system.q1.nu, system.q2.nu

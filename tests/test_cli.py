@@ -15,6 +15,7 @@ from anisohit.cli import (
     _REQUIRED,
     _bound_row,
     _close_row,
+    _flag_row,
     _info_row,
     emit_csv,
     main,
@@ -92,6 +93,10 @@ def test_row_helpers():
     assert not _bound_row("e", "p", 0.51, 0.5).passed
     info = _info_row("e", "p", 0.25)
     assert info.passed and info.reference == info.observed
+    assert _flag_row("e", "p", True, 1) == ReportRow("e", "p", 1.0, 1.0, 0.0, True)
+    assert _flag_row("e", "p", False, True) == ReportRow("e", "p", 0.0, 1.0, 0.0, False)
+    assert _flag_row("e", "p", True, 0) == ReportRow("e", "p", 1.0, 0.0, 0.0, False)
+    assert _flag_row("e", "p", False) == _info_row("e", "p", 0.0)
 
 
 def test_csv_format_and_significant_digits(tmp_path):
@@ -208,11 +213,22 @@ _HIT_MC_2D = "hurst = 0.75\ncomponents = 2\nn_times = 4\nn_sites = 4\nn_samples 
         ("hit-mc", _HIT_MC_2D + "target = ball\ntarget_center = 0, 0\ntarget_radius = inf\n"),
         ("capacity", "target = interval\ntarget_hi = inf\nriesz_beta = 0.3\n"),
         ("capacity", "target = interval\ntarget_lo = -inf\nriesz_beta = 0.3\n"),
+        ("hit-mc", _HIT_MC_2D + "target = points\ntarget_points = ;\n"),
+        ("metric-equivalence", "hurst = 0.75\nn_pairs = 0\n"),
+        ("metric-equivalence", "hurst = 0.75\nn_pairs = 1\n"),
+        ("variance-scaling", "hurst = 0.75\nt_ref = -1\n"),
+        ("variance-scaling", "hurst = 0.75\nfactors = -0.5\n"),
+        ("variance-scaling", "hurst = 0.75\nfactors = 0\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\nhomogeneity_scale = 0\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\nhomogeneity_scale = -1\n"),
+        ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = 1\nexpect_factor = 0.5\n"),
     ],
     ids=[
         "beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative",
         "small-ball-eps-nan", "ball-center-nan", "points-nan", "points-bad-token", "points-ragged",
-        "ball-radius-inf", "interval-hi-inf", "interval-lo-inf",
+        "ball-radius-inf", "interval-hi-inf", "interval-lo-inf", "points-empty", "n-pairs-0", "n-pairs-1",
+        "t-ref-negative", "factor-negative", "factor-0", "homogeneity-scale-0", "homogeneity-scale-negative",
+        "expect-factor-below-1",
     ],
 )
 def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):

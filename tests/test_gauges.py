@@ -223,19 +223,24 @@ def test_hausdorff_gauge_is_a_pure_power_for_power_systems():
         sys.hausdorff_gauge(0.0)
 
 
+def _growth(sys, taus):
+    """The growth integral v at decreasing gauge values."""
+    return np.exp(sys.log_growth_integral(np.log(taus)))
+
+
 def test_growth_integral_matches_the_two_power_closed_form():
     # For distinct power gauges the integrand reduces to
     # u^(chi - D - 1) / (nu1 nu2) with chi = d1/nu1 + d2/nu2.
     sys = _power_system(0.5, 0.8, d1=1, d2=2, dim=6, cap=0.9)
     chi = 1.0 / 0.5 + 2.0 / 0.8
     gap = 6.0 - chi
-    for tau in (1e-6, 1e-3, 0.1, 0.5):
-        ref = (tau ** -gap - 0.9 ** -gap) / (gap * 0.5 * 0.8)
-        assert sys.growth_integral(tau) == pytest.approx(ref, rel=1e-9)
-    assert sys.growth_integral(0.9) == 0.0
-    assert sys.growth_integral(2.0) == 0.0
-    with pytest.raises(ConfigurationError):
-        sys.growth_integral(0.0)
+    taus = np.array([0.5, 0.1, 1e-3, 1e-6])
+    ref = (taus ** -gap - 0.9 ** -gap) / (gap * 0.5 * 0.8)
+    np.testing.assert_allclose(_growth(sys, taus), ref, rtol=1e-9, atol=0.0)
+    assert list(_growth(sys, [2.0, 0.9])) == [0.0, 0.0]
+    for bad in ([-math.inf], [math.nan], np.log([0.1, 0.5]), np.log([0.1, 0.1])):
+        with pytest.raises(ConfigurationError):
+            sys.log_growth_integral(bad)
 
 
 def test_growth_integral_matches_the_shared_power_closed_form():
@@ -245,19 +250,19 @@ def test_growth_integral_matches_the_shared_power_closed_form():
     sys = _power_system(nu, nu, d1=d1, d2=d2, dim=dim, cap=cap)
     d = d1 + d2
     gap = nu * dim - d
-    for tau in (1e-8, 1e-3, 0.3):
-        r_lo, r_hi = tau ** (1 / nu), cap ** (1 / nu)
-        ref = (r_lo ** -gap - r_hi ** -gap) / gap
-        assert sys.growth_integral(tau) == pytest.approx(ref, rel=1e-9)
+    taus = np.array([0.3, 1e-3, 1e-8])
+    r_lo, r_hi = taus ** (1 / nu), cap ** (1 / nu)
+    ref = (r_lo ** -gap - r_hi ** -gap) / gap
+    np.testing.assert_allclose(_growth(sys, taus), ref, rtol=1e-9, atol=0.0)
 
 
 def test_growth_integral_log_branch_at_the_critical_exponent():
     # D = chi turns the gauge-space integrand into u^-1.
     sys = _power_system(0.5, 1.0, d1=1, d2=1, dim=3, cap=0.7)
     assert sys.power_exponent == pytest.approx(0.0, abs=1e-15)
-    for tau in (1e-5, 0.01):
-        ref = math.log(0.7 / tau) / (0.5 * 1.0)
-        assert sys.growth_integral(tau) == pytest.approx(ref, rel=1e-9)
+    taus = np.array([0.01, 1e-5])
+    ref = np.log(0.7 / taus) / (0.5 * 1.0)
+    np.testing.assert_allclose(_growth(sys, taus), ref, rtol=1e-9, atol=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,7 +273,8 @@ def test_growth_integral_log_branch_at_the_critical_exponent():
 def test_growth_integral_is_decreasing(t1, t2):
     sys = _power_system(0.55, 0.9, d1=1, d2=1, dim=5, cap=0.5)
     lo, hi = sorted((t1, t2))
-    assert sys.growth_integral(lo) >= sys.growth_integral(hi) - 1e-12
+    # two separate integrations, each from the cap down
+    assert _growth(sys, [lo])[0] >= _growth(sys, [hi])[0] - 1e-12
 
 
 def test_monotonicity_of_pure_power_systems():

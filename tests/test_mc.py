@@ -143,7 +143,7 @@ def test_sampled_correlation_matches_the_model():
     z = np.array(
         [sample_fields(L, m.components, 3, [r])[0, :, 0] for r in range(n_reps)]
     )
-    want = m.covariance(0.4, [0.0], 0.9, [0.0])
+    want = m._cov_batch(0.4, 0.9, np.zeros(1))[0]
     got = float(np.mean(z[:, 0] * z[:, 1]))
     sd = math.sqrt((m.variance(0.4) * m.variance(0.9) + want * want) / n_reps)
     assert abs(got - want) <= 4.0 * sd
@@ -308,10 +308,11 @@ def test_inflated_estimate_dominates_raw_exactly():
     assert result.inflated.p_hat >= result.raw.p_hat
 
 
-def test_empty_target_is_never_hit():
+def test_far_target_is_never_hit():
+    # a point far past the field's range and the mesh radius (about 12.4)
     m = _model()
     grid = SampleGrid.regular(m, 3, 3)
-    target = PointSet(points=np.zeros(0), ambient_dim=1)
+    target = PointSet(points=np.array([[1e3]]))
     result = estimate_hit_prob(m, grid, target, n_samples=200, seed=0)
     assert result.raw.p_hat == 0.0
     assert result.inflated.p_hat == 0.0

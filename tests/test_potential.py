@@ -15,8 +15,8 @@ from anisohit.potential import (
     CantorDust,
     PointSet,
     PotentialKernel,
+    _cantor_intervals,
     _guard_cover_size,
-    _product_grid,
     _simplex_min_quadratic,
     _unit_pair_seps,
     capacity,
@@ -45,12 +45,11 @@ def test_box_distance():
     assert box.distance([[-1.0, 1.0]])[0] == pytest.approx(1.0)
 
 
-def test_point_set_distance_and_empty_set():
+def test_point_set_distance():
     pts = PointSet(points=np.array([[0.0], [1.0]]))
     assert pts.distance([0.4])[0] == pytest.approx(0.4)
-    empty = PointSet(points=np.zeros(0), ambient_dim=2)
-    assert np.isinf(empty.distance([[0.0, 0.0]])[0])
-    assert empty.dyadic_count(0.5) == 0
+    line = PointSet(points=np.array([0.0, 1.0]))  # a 1-d array is points on a line
+    assert line.dim == 1 and line.distance([0.4])[0] == pytest.approx(0.4)
 
 
 def test_cantor_distance():
@@ -75,7 +74,7 @@ def test_dyadic_cover_counts():
 
 
 def test_dyadic_cells_match_counts():
-    for target in (Box(lo=(0.0,), hi=(1.0,)), CantorDust(level=3), Ball(center=(0.0, 0.0), radius=0.4)):
+    for target in (Ball(center=(0.0, 0.0), radius=0.4), PointSet(points=np.array([[0.0, 0.0], [0.01, 0.3]]))):
         cells = target.dyadic_cells(1.0 / 16.0)
         assert len(cells) == target.dyadic_count(1.0 / 16.0)
         assert cells.shape[1] == target.dim
@@ -98,7 +97,7 @@ def test_point_set_cells_equal_np_unique_rows(dim, n_points):
 
 def _looped_cantor_axis(dust, side):
     # one arange per interval, as the cover was first built
-    starts, ends = dust._intervals()
+    starts, ends = _cantor_intervals(dust.level)
     lo_idx = np.floor(starts / side).astype(np.int64)
     hi_idx = np.floor(ends / side).astype(np.int64)
     _guard_cover_size(int(np.sum(hi_idx - lo_idx + 1)))
@@ -109,7 +108,7 @@ def _looped_cantor_axis(dust, side):
 @pytest.mark.parametrize("level", [0, 1, 3, 8, 14])
 @pytest.mark.parametrize("dim", [1, 2])
 def test_cantor_cover_equals_the_per_interval_loop(monkeypatch, limit, level, dim):
-    # the small limit makes both cover guards fire inside the ladder of sides
+    # the small limit makes the cover guard fire inside the ladder of sides
     monkeypatch.setattr("anisohit.potential._MAX_COVER_CELLS", limit)
     dust = CantorDust(level=level, dim=dim)
     for m in range(21):
@@ -117,24 +116,15 @@ def test_cantor_cover_equals_the_per_interval_loop(monkeypatch, limit, level, di
         try:
             axis = _looped_cantor_axis(dust, side)
         except ConfigurationError:
-            for cover in (dust.dyadic_count, dust.dyadic_cells):
-                with pytest.raises(ConfigurationError):
-                    cover(side)
-            continue
-        n_cells = len(axis) ** dim
-        assert dust.dyadic_count(side) == n_cells
-        if n_cells > limit:
             with pytest.raises(ConfigurationError):
-                dust.dyadic_cells(side)
-        elif n_cells <= 1 << 12:  # larger covers cost seconds to compare
-            want = _product_grid([axis.astype(float)] * dim).astype(np.int64)
-            got = dust.dyadic_cells(side)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+                dust.dyadic_count(side)
+            continue
+        assert dust.dyadic_count(side) == len(axis) ** dim
 
 
 def test_oversized_cover_is_rejected():
     with pytest.raises(ConfigurationError):
-        Box(lo=(0.0,), hi=(1.0,)).dyadic_cells(2.0**-24)
+        Box(lo=(0.0,), hi=(1.0,)).dyadic_count(2.0**-24)
 
 
 @pytest.mark.parametrize(
@@ -144,7 +134,6 @@ def test_oversized_cover_is_rejected():
         lambda: Box(lo=(1.0,), hi=(0.0,)),
         lambda: PointSet(points=np.zeros(0)),
         lambda: CantorDust(level=25),
-        lambda: CantorDust(level=2, lo=1.0, hi=0.0),
         lambda: CantorDust(level=2, dim=4),
         lambda: Ball(center=(np.nan, 0.0), radius=0.5),
         lambda: PointSet(points=np.array([[0.0], [np.inf]])),
@@ -319,7 +308,8 @@ def test_capacity_error_contracts():
     with pytest.raises(ConfigurationError):
         capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), tol=0.0)
     with pytest.raises(ConfigurationError):
-        capacity(kernel, PointSet(points=np.zeros(0), ambient_dim=1))
+        # a 5-d ball keeps none of its 2^5 cell centers, which lie at radius sqrt(5)/2
+        capacity(riesz_kernel(0.3, 5), Ball(center=(0.0,) * 5, radius=1.0), n_cells=32)
     with pytest.raises(ConfigurationError):
         # coincident centers
         capacity(riesz_kernel(0.0, 1), PointSet(points=np.array([[0.5], [0.5]])))
