@@ -409,7 +409,7 @@ class GrowthReport:
     monotonicity: MonotonicityReport
 
 
-def check_growth(system: GaugeSystem, grid_size: int = 200) -> GrowthReport:
+def check_growth(system: GaugeSystem, grid_size: int) -> GrowthReport:
     """Test boundedness of the growth product on a dyadic gauge-value grid.
 
     The product of the growth integral v and the Hausdorff gauge g is

@@ -1,6 +1,9 @@
 """Exact Gaussian sampling on space-time grids and hitting-probability MC.
 
-The field restricted to a finite grid is a Gaussian vector with the model's
+A grid is regular over the model window: ``n_times`` equally spaced times
+in [t0, t1] times one axis of ``n_sites`` equally spaced sites in
+[-M, M], repeated in each spatial dimension, at most 4096 points in all.
+The field restricted to such a grid is a Gaussian vector with the model's
 covariance matrix; one Cholesky factor per grid, computed in place over the
 assembled matrix (LAPACK ``dpotrf``), serves every replicate and component.
 Randomness is counter-based (Philox) and keyed by
@@ -104,60 +107,46 @@ def _lapack_blas():
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Product grid times x sites, the index set of one Gaussian vector."""
+    """Regular product grid times x site_axis^space_dim over a model window,
+    the index set of one Gaussian vector.  Build it with ``regular``."""
 
     times: tuple
-    site_axes: tuple
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        axes = tuple(tuple(float(v) for v in ax) for ax in self.site_axes)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "site_axes", axes)
-        if not times or not axes or any(len(ax) == 0 for ax in axes):
-            raise ConfigurationError("grid needs at least one time and one site")
-        for seq in (times, *axes):
-            if any(b <= a for a, b in zip(seq, seq[1:])):
-                raise ConfigurationError("grid coordinates must be strictly increasing")
-        if self.n_points > _MAX_GRID_POINTS:
-            raise ConfigurationError(
-                f"grid has {self.n_points} points; factorization bound is {_MAX_GRID_POINTS}"
-            )
+    site_axis: tuple
+    space_dim: int
 
     @classmethod
     def regular(cls, model: HeatModel, n_times: int, n_sites: int) -> "SampleGrid":
         """Uniform grid over the model window [t0, t1] x [-M, M]^d."""
         if n_times < 1 or n_sites < 1:
             raise ConfigurationError("grid sizes must be positive")
+        n_points = n_times * n_sites**model.space_dim
+        if n_points > _MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"grid has {n_points} points; factorization bound is {_MAX_GRID_POINTS}"
+            )
         times = np.linspace(model.t0, model.t1, n_times)
         if n_sites == 1:
             axis = np.zeros(1)
         else:
             axis = np.linspace(-model.box_radius, model.box_radius, n_sites)
-        return cls(tuple(times), tuple(tuple(axis) for _ in range(model.space_dim)))
+        return cls(tuple(float(t) for t in times), tuple(float(v) for v in axis), model.space_dim)
 
     @property
     def n_points(self) -> int:
-        return len(self.times) * int(np.prod([len(ax) for ax in self.site_axes]))
+        return len(self.times) * len(self.site_axis) ** self.space_dim
 
     @property
     def sites(self) -> np.ndarray:
-        mesh = np.meshgrid(*[np.asarray(ax) for ax in self.site_axes], indexing="ij")
+        mesh = np.meshgrid(*[np.asarray(self.site_axis)] * self.space_dim, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-
-    def validate_window(self, model: HeatModel) -> None:
-        if min(self.times) < model.t0 - 1e-12 or max(self.times) > model.t1 + 1e-12:
-            raise ConfigurationError("grid times leave the model window")
-        for ax in self.site_axes:
-            if min(ax) < -model.box_radius - 1e-12 or max(ax) > model.box_radius + 1e-12:
-                raise ConfigurationError("grid sites leave the model box")
 
     def mesh_widths(self) -> tuple[float, float]:
         """Largest time spacing and largest spatial cell diagonal."""
         dt = max(np.diff(self.times)) if len(self.times) > 1 else 0.0
+        dx = float(max(np.diff(self.site_axis))) if len(self.site_axis) > 1 else 0.0
         dx2 = 0.0
-        for ax in self.site_axes:
-            dx2 += float(max(np.diff(ax))) ** 2 if len(ax) > 1 else 0.0
+        for _ in range(self.space_dim):  # axis by axis: d * dx**2 rounds otherwise at d = 3
+            dx2 += dx**2
         return float(dt), math.sqrt(dx2)
 
 
@@ -176,7 +165,6 @@ def factor_covariance(model: HeatModel, grid: SampleGrid) -> np.ndarray:
     """
     dpotrf, _ = _lapack_blas()
 
-    grid.validate_window(model)
     cov = covariance_matrix(model, np.asarray(grid.times), grid.sites)
     n = cov.shape[0]
     diag = np.diag(cov).copy()
@@ -245,7 +233,6 @@ class Estimate:
     """Binomial frequency with a 95% Wilson interval."""
 
     p_hat: float
-    n: int
     ci_lo: float
     ci_hi: float
 
@@ -267,7 +254,7 @@ def wilson_interval(hits: int, n: int) -> tuple[float, float]:
 
 def _estimate(hits: int, n: int) -> Estimate:
     lo, hi = wilson_interval(hits, n)
-    return Estimate(p_hat=hits / n, n=n, ci_lo=lo, ci_hi=hi)
+    return Estimate(p_hat=hits / n, ci_lo=lo, ci_hi=hi)
 
 
 def mesh_inflation(model: HeatModel, grid: SampleGrid) -> float:
@@ -318,8 +305,8 @@ def estimate_hit_prob(
     model: HeatModel,
     grid: SampleGrid,
     target: TargetSet,
-    n_samples: int = 1000,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> HitProbability:
     """MC hitting probability of the target, raw and inflated by the mesh radius.
 
@@ -361,8 +348,8 @@ def small_ball_slope(
     grid: SampleGrid,
     center: Sequence[float],
     eps_ladder: Sequence[float],
-    n_samples: int = 10_000,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> SmallBallReport:
     """Slope of log P(field comes within eps of a point) along an eps ladder.
 
@@ -394,8 +381,8 @@ def point_trend(
     model: HeatModel,
     center: Sequence[float],
     grid_shapes: Sequence[tuple[int, int]],
-    n_samples: int = 2000,
-    seed: int = 0,
+    n_samples: int,
+    seed: int,
 ) -> list[HitProbability]:
     """Inflated point-hitting estimates across grid refinements.
 

@@ -1,11 +1,11 @@
 """Capacities and Hausdorff-type premeasures for compact target sets.
 
 Capacity is computed as one over the minimal quadratic energy mu' K mu of a
-probability vector on a cell discretization of the set, where K applies a
-radial kernel to cell distances; the diagonal takes the kernel's cell
-self-energy, estimated by averaging over fixed quasi-random intra-cell pair
-offsets.  The minimization runs an away-step Frank-Wolfe iteration whose
-final duality gap is also a rigorous bound on the suboptimality, so every
+probability vector on a discretization of the set into equal cells, where K
+applies a radial kernel to cell distances; the diagonal takes the kernel's
+self-energy of one cell, estimated by averaging over fixed quasi-random
+intra-cell pair offsets.  The minimization runs an away-step Frank-Wolfe
+iteration whose final duality gap is also a rigorous bound on the suboptimality, so every
 reported capacity comes with a certificate.
 
 The premeasure side covers the set with half-open dyadic cells exactly (no
@@ -29,6 +29,8 @@ from .gauges import GaugeSystem, check_monotonicity
 _MAX_COVER_CELLS = 1 << 22
 _CELL_PAIRS = 64  # quasi-random pairs averaged for a cell's self-energy
 _FW_MAX_ITER = 200_000  # Frank-Wolfe iteration cap of the capacity solve
+# cells of a capacity solve: K alone is n^2 float64 (128 MiB at the bound)
+_MAX_CAPACITY_CELLS = 4096
 
 
 # -- target sets ---------------------------------------------------------------
@@ -42,8 +44,9 @@ class TargetSet:
     def distance(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def cells(self, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cell centers (m, dim) and widths (m,) discretizing the set."""
+    def cells(self, n_cells: int) -> tuple[np.ndarray, float]:
+        """Centers (m, dim) of m >= 1 equal cells discretizing the set, and
+        their common width (0 for points)."""
         raise NotImplementedError
 
     def dyadic_cells(self, side: float) -> np.ndarray:
@@ -59,10 +62,8 @@ class TargetSet:
 
     def _points2d(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts.reshape(1, -1) if self.dim > 1 else pts.reshape(-1, 1)
-        if pts.shape[-1] != self.dim:
-            raise ConfigurationError(f"points must have {self.dim} coordinates")
+        if pts.ndim != 2 or pts.shape[1] != self.dim:
+            raise ConfigurationError(f"points must be rows of {self.dim} coordinates")
         return pts
 
 
@@ -89,16 +90,28 @@ class Ball(TargetSet):
         pts = self._points2d(points)
         return np.maximum(np.linalg.norm(pts - np.asarray(self.center), axis=1) - self.radius, 0.0)
 
-    def cells(self, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    def cells(self, n_cells: int) -> tuple[np.ndarray, float]:
+        """The cells of a per_axis^dim grid on the bounding cube whose centers
+        lie in the ball, decided exactly in integers."""
         if self.radius == 0.0:
-            return np.asarray([self.center]), np.zeros(1)
+            return np.asarray([self.center]), 0.0
         per_axis = max(1, int(round(n_cells ** (1.0 / self.dim))))
+        if per_axis % 2 == 0 and per_axis**2 < self.dim:
+            # an even grid this coarse has no center inside the ball; an odd
+            # one has the ball's own center
+            per_axis += 1
         w = 2.0 * self.radius / per_axis
-        axes = [c - self.radius + w * (np.arange(per_axis) + 0.5) for c in self.center]
-        centers = _product_grid(axes)
-        keep = np.linalg.norm(centers - np.asarray(self.center), axis=1) <= self.radius
-        centers = centers[keep]
-        return centers, np.full(len(centers), w)
+        # cell k's center lies (2k + 1 - per_axis) * w / 2 from the ball's center
+        # along an axis; index rows are built axis by axis in product-grid order,
+        # keeping a prefix only while its smallest completion fits in the ball
+        sq = (2 * np.arange(per_axis) + 1 - per_axis) ** 2
+        idx = np.zeros((1, 0), dtype=np.int64)
+        total = np.zeros(1, dtype=np.int64)
+        for left in range(self.dim - 1, -1, -1):
+            rows, k = np.nonzero(total[:, None] + sq + left * sq.min() <= per_axis**2)
+            idx = np.column_stack([idx[rows], k])
+            total = total[rows] + sq[k]
+        return np.asarray(self.center) - self.radius + w * (idx + 0.5), w
 
     def dyadic_cells(self, side: float) -> np.ndarray:
         ranges = [
@@ -141,18 +154,17 @@ class Box(TargetSet):
         gap = np.maximum(np.maximum(below, above), 0.0)
         return np.linalg.norm(gap, axis=1)
 
-    def cells(self, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    def cells(self, n_cells: int) -> tuple[np.ndarray, float]:
         edges = np.asarray(self.hi) - np.asarray(self.lo)
         positive = edges[edges > 0]
         if positive.size == 0:
-            return np.asarray([self.lo]), np.zeros(1)
+            return np.asarray([self.lo]), 0.0
         w = (np.prod(positive) / n_cells) ** (1.0 / positive.size)
         axes = []
         for a, b in zip(self.lo, self.hi):
             m = max(1, int(round((b - a) / w))) if b > a else 1
             axes.append(a + (b - a) * (np.arange(m) + 0.5) / m)
-        centers = _product_grid(axes)
-        return centers, np.full(len(centers), float(w))
+        return _product_grid(axes), float(w)
 
     def dyadic_count(self, side: float) -> int:
         return int(np.prod([len(_interval_cell_range(a, b, side)) for a, b in zip(self.lo, self.hi)]))
@@ -160,7 +172,7 @@ class Box(TargetSet):
 
 @dataclass(frozen=True, eq=False)
 class PointSet(TargetSet):
-    """A finite set of at least one point; a 1-d array holds points on a line."""
+    """A finite set of at least one point, given as an (n, dim) array."""
 
     points: np.ndarray
 
@@ -168,8 +180,8 @@ class PointSet(TargetSet):
         pts = np.asarray(self.points, dtype=float)
         if pts.size == 0:
             raise ConfigurationError("a point set needs at least one point")
-        if pts.ndim == 1:
-            pts = pts.reshape(-1, 1)
+        if pts.ndim != 2:
+            raise ConfigurationError("points must be an (n, dim) array")
         if not np.all(np.isfinite(pts)):
             raise ConfigurationError("points must be finite")
         object.__setattr__(self, "points", pts)
@@ -183,8 +195,8 @@ class PointSet(TargetSet):
         diffs = pts[:, None, :] - self.points[None, :, :]
         return np.min(np.linalg.norm(diffs, axis=2), axis=1)
 
-    def cells(self, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.points.copy(), np.zeros(len(self.points))
+    def cells(self, n_cells: int) -> tuple[np.ndarray, float]:
+        return self.points.copy(), 0.0
 
     def dyadic_cells(self, side: float) -> np.ndarray:
         # rows sorted lexicographically, repeats dropped by comparing
@@ -214,15 +226,13 @@ class CantorDust(TargetSet):
         per_axis = [_interval_union_distance(pts[:, k], starts, ends) for k in range(self.dim)]
         return np.linalg.norm(np.stack(per_axis, axis=1), axis=1)
 
-    def cells(self, n_cells: int) -> tuple[np.ndarray, np.ndarray]:
+    def cells(self, n_cells: int) -> tuple[np.ndarray, float]:
         lvl = self.level
         while lvl > 0 and (2**lvl) ** self.dim > n_cells:
             lvl -= 1
         starts, ends = _cantor_intervals(lvl)
         mids = 0.5 * (starts + ends)
-        centers = _product_grid([mids] * self.dim)
-        width = float(ends[0] - starts[0])
-        return centers, np.full(len(centers), width)
+        return _product_grid([mids] * self.dim), float(ends[0] - starts[0])
 
     def _axis_cells(self, side: float) -> np.ndarray:
         starts, ends = _cantor_intervals(self.level)
@@ -388,57 +398,55 @@ def _unit_pair_seps(dim: int) -> np.ndarray:
 def capacity(
     kernel: PotentialKernel,
     target: TargetSet,
-    n_cells: int = 256,
-    tol: float = 1e-6,
+    n_cells: int,
+    tol: float,
 ) -> CapacityReport:
     """Generalized capacity of the target under the given kernel.
 
-    Solves min mu' K mu over the probability simplex on a cell
-    discretization with away-step Frank-Wolfe; the reported ``gap`` bounds
-    energy - optimum, so ``capacity`` is exact up to gap / energy^2.
-    Cells whose self-energy is infinite (points under a singular kernel)
-    cannot carry mass and are dropped; if none remain the capacity is 0.
+    Solves min mu' K mu over the probability simplex on about ``n_cells``
+    equal cells of the target (at most 4096) with away-step Frank-Wolfe;
+    the reported ``gap`` bounds energy - optimum, so ``capacity`` is exact
+    up to gap / energy^2.  All cells share one width and so one
+    self-energy; when it is infinite (points under a singular kernel) no
+    cell can carry mass and the capacity is 0.
     """
     if n_cells < 2:
         raise ConfigurationError("capacity needs n_cells >= 2")
+    if n_cells > _MAX_CAPACITY_CELLS:
+        raise ConfigurationError(f"capacity allows at most {_MAX_CAPACITY_CELLS} cells, asked for {n_cells}")
     if not tol > 0.0:
         raise ConfigurationError("capacity needs tol > 0")
-    centers, widths = target.cells(n_cells)
-    if len(centers) == 0:
-        # a ball in five or more dimensions can keep no cell center of a coarse grid
-        raise ConfigurationError(f"the target keeps no cell at n_cells = {n_cells}; raise n_cells")
+    centers, width = target.cells(n_cells)
+    if len(centers) > _MAX_CAPACITY_CELLS:
+        raise ConfigurationError(
+            f"the target splits into {len(centers)} cells; capacity allows at most {_MAX_CAPACITY_CELLS}"
+        )
     diffs = centers[:, None, :] - centers[None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=2))
     if np.any((dists == 0.0) & ~np.eye(len(centers), dtype=bool)):
         raise ConfigurationError("coincident cell centers; the target repeats a point")
+    if width == 0.0:
+        self_energy = float(np.asarray(kernel.radial_profile(np.zeros(1)))[0])
+    elif kernel.integrable_at_zero:
+        self_energy = float(np.mean(kernel.radial_profile(width * _unit_pair_seps(target.dim))))
+    else:
+        self_energy = math.inf
+    if not math.isfinite(self_energy):
+        return CapacityReport(0.0, math.inf, 0.0, 0, None)
+
     with np.errstate(over="ignore"):
         K = np.asarray(kernel.radial_profile(dists), dtype=float)
-    diag = np.empty(len(centers))
-    for i, w in enumerate(widths):
-        if w == 0.0:
-            diag[i] = float(np.asarray(kernel.radial_profile(np.zeros(1)))[0])
-        elif kernel.integrable_at_zero:
-            diag[i] = float(np.mean(kernel.radial_profile(w * _unit_pair_seps(target.dim))))
-        else:
-            diag[i] = math.inf
-    np.fill_diagonal(K, diag)
-
-    keep = np.isfinite(diag)
-    if not np.any(keep):
-        return CapacityReport(0.0, math.inf, 0.0, 0, None)
-    K = K[np.ix_(keep, keep)]
+    np.fill_diagonal(K, self_energy)
     if not np.all(np.isfinite(K)):
         raise KernelError("kernel produced non-finite values at positive distances")
 
     mu, energy, gap, iters = _simplex_min_quadratic(K, tol=tol, max_iter=_FW_MAX_ITER)
-    weights = np.zeros(len(centers))
-    weights[keep] = mu
     return CapacityReport(
         capacity=1.0 / energy,
         energy=float(energy),
         gap=float(gap),
         iterations=iters,
-        weights=weights,
+        weights=mu,
     )
 
 

@@ -3,16 +3,23 @@
 Each criterion prints a single verdict line (visible with -s or -rA); the
 pytest PASSED/FAILED status is the authoritative pass/fail signal.  The
 Monte Carlo criteria run through the command-line pipelines so that the
-determinism criterion can compare the very artifacts users would produce.
+determinism criterion can compare the very artifacts users would produce:
+each config runs as two ``python -m anisohit.cli`` processes at the same
+time, one BLAS thread each.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anisohit.cli import main as cli_main
+import anisohit
 from anisohit.gauges import (
     GaugeSpec,
     GaugeSystem,
@@ -76,18 +83,31 @@ def _parse_csv(data: bytes) -> list[tuple]:
     return rows
 
 
+def _timed_run(cmd: list, env: dict):
+    started = time.monotonic()
+    proc = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=900)
+    return proc, time.monotonic() - started
+
+
 def _run_pipeline_twice(tmp_path_factory, pipeline: str, cfg_text: str):
+    """Both CSVs of two concurrent CLI runs of one config, and the slower
+    run's wall time in seconds."""
     root = tmp_path_factory.mktemp(pipeline)
     cfg = root / "run.cfg"
     cfg.write_text(cfg_text)
-    outputs = []
-    started = time.monotonic()
-    for sub in ("a", "b"):
-        out = root / sub
-        code = cli_main([pipeline, "--config", str(cfg), "--out", str(out)])
-        assert code == 0, f"{pipeline} pipeline exited {code}"
-        outputs.append((out / f"{pipeline}.csv").read_bytes())
-    return outputs, time.monotonic() - started
+    src = str(Path(anisohit.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        ANISOHIT_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    outs = [root / sub for sub in ("a", "b")]
+    cmd = [sys.executable, "-m", "anisohit.cli", pipeline, "--config", str(cfg), "--out"]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        runs = [f.result() for f in [pool.submit(_timed_run, cmd + [str(out)], env) for out in outs]]
+    for proc, _ in runs:
+        assert proc.returncode == 0, f"{pipeline} pipeline exited {proc.returncode}: {proc.stderr}"
+    return [(out / f"{pipeline}.csv").read_bytes() for out in outs], max(t for _, t in runs)
 
 
 @pytest.fixture(scope="module")
@@ -230,8 +250,8 @@ def test_criterion_07_capacity_properties():
 
     # points: capacity 0 under singular kernels, 1 under the constant kernel
     pts = PointSet(points=np.array([[0.3], [0.7]]))
-    assert capacity(riesz_kernel(0.5, 1), pts, n_cells=4).capacity == 0.0
-    assert capacity(riesz_kernel(0.0, 1), pts, n_cells=4).capacity == pytest.approx(1.0, rel=1e-9)
+    assert capacity(riesz_kernel(0.5, 1), pts, n_cells=4, tol=1e-6).capacity == 0.0
+    assert capacity(riesz_kernel(0.0, 1), pts, n_cells=4, tol=1e-6).capacity == pytest.approx(1.0, rel=1e-9)
 
     # small instances against an independent convex solver, within the gap
     for kernel, target in (
@@ -240,14 +260,11 @@ def test_criterion_07_capacity_properties():
         (riesz_kernel(0.5, 2), Box(lo=(0.0, 0.0), hi=(1.0, 1.0))),
     ):
         report = capacity(kernel, target, n_cells=32, tol=1e-8)
-        centers, widths = target.cells(32)
+        centers, width = target.cells(32)
         diffs = centers[:, None, :] - centers[None, :, :]
         dists = np.sqrt(np.sum(diffs * diffs, axis=2))
         K = np.asarray(kernel.radial_profile(dists), dtype=float)
-        diag = np.array(
-            [float(np.mean(kernel.radial_profile(w * _unit_pair_seps(target.dim)))) for w in widths]
-        )
-        np.fill_diagonal(K, diag)
+        np.fill_diagonal(K, float(np.mean(kernel.radial_profile(width * _unit_pair_seps(target.dim)))))
         mu = cp.Variable(K.shape[0], nonneg=True)
         prob = cp.Problem(cp.Minimize(cp.quad_form(mu, cp.psd_wrap(K))), [cp.sum(mu) == 1])
         prob.solve()
@@ -288,7 +305,7 @@ def test_criterion_09_small_ball_slope(small_ball_runs):
     grid = SampleGrid.regular(model, 8, 8)
     hp = estimate_hit_prob(model, grid, Ball(center=(0.0,) * 4, radius=0.5), n_samples=500, seed=42)
     assert hp.raw.p_hat <= hp.inflated.p_hat
-    assert elapsed / 2.0 + (time.monotonic() - started) < 900.0
+    assert elapsed + (time.monotonic() - started) < 900.0
     _verdict(9, f"small-ball slope {slope_rows[0][2]:.3f} within 0.3 of {ref:.4f}", started)
 
 
@@ -309,7 +326,7 @@ def test_criterion_10_polarity(polarity_runs):
     )
     assert flat.power_exponent <= 0.0
     assert not check_monotonicity(flat).polar_points
-    assert elapsed / 2.0 + (time.monotonic() - started) < 600.0
+    assert elapsed + (time.monotonic() - started) < 600.0
     _verdict(10, f"polar trend {ps} decreasing, flat gauge non-polar", started)
 
 

@@ -222,13 +222,17 @@ _HIT_MC_2D = "hurst = 0.75\ncomponents = 2\nn_times = 4\nn_sites = 4\nn_samples 
         ("capacity", "target = interval\nriesz_beta = 0.3\nhomogeneity_scale = 0\n"),
         ("capacity", "target = interval\nriesz_beta = 0.3\nhomogeneity_scale = -1\n"),
         ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = 1\nexpect_factor = 0.5\n"),
+        # past the 4096-cell bound of a capacity solve; numpy cannot allocate
+        # these cell counts at all, so an unbounded solve fails at once
+        ("capacity", "target = interval\nriesz_beta = 0.3\nn_cells = 1000000000000\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\nhomogeneity_scale = 10000000000\n"),
     ],
     ids=[
         "beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative",
         "small-ball-eps-nan", "ball-center-nan", "points-nan", "points-bad-token", "points-ragged",
         "ball-radius-inf", "interval-hi-inf", "interval-lo-inf", "points-empty", "n-pairs-0", "n-pairs-1",
         "t-ref-negative", "factor-negative", "factor-0", "homogeneity-scale-0", "homogeneity-scale-negative",
-        "expect-factor-below-1",
+        "expect-factor-below-1", "n-cells-huge", "homogeneity-cells-huge",
     ],
 )
 def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):

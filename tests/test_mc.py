@@ -39,34 +39,32 @@ def test_regular_grid_shape_and_window():
     assert grid.n_points == 20
     assert grid.times[0] == m.t0 and grid.times[-1] == m.t1
     assert grid.sites.shape == (5, 1)
-    grid.validate_window(m)
+    assert grid.sites.min() == -m.box_radius and grid.sites.max() == m.box_radius
+    plane = SampleGrid.regular(_model(space_dim=2), 3, 4)
+    assert plane.n_points == 48 and plane.sites.shape == (16, 2)
+    # one axis in each dimension, the first varying slowest
+    axis = np.linspace(-1.0, 1.0, 4)
+    assert np.array_equal(plane.sites, np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2))
 
 
 def test_grid_validation():
     with pytest.raises(ConfigurationError):
-        SampleGrid(times=(), site_axes=((0.0,),))
-    with pytest.raises(ConfigurationError):
-        SampleGrid(times=(0.2, 0.2), site_axes=((0.0,),))
-    with pytest.raises(ConfigurationError):
-        SampleGrid(times=(0.2,), site_axes=((0.5, 0.1),))
-    with pytest.raises(ConfigurationError):
         SampleGrid.regular(_model(), 0, 4)
     with pytest.raises(ConfigurationError):
-        SampleGrid.regular(_model(), 80, 80)  # 6400 > factorization bound
-
-
-def test_grid_outside_window_is_rejected():
-    m = _model()
-    grid = SampleGrid(times=(m.t1 + 0.5,), site_axes=((0.0,),))
+        SampleGrid.regular(_model(), 4, 0)
     with pytest.raises(ConfigurationError):
-        factor_covariance(m, grid)
+        SampleGrid.regular(_model(), 80, 80)  # 6400 > factorization bound
+    with pytest.raises(ConfigurationError):
+        SampleGrid.regular(_model(space_dim=3), 2, 13)  # 2 * 13^3 = 4394
 
 
 def test_mesh_widths():
-    grid = SampleGrid(times=(0.1, 0.3, 1.0), site_axes=((-1.0, 0.0, 1.0), (-1.0, 1.0)))
+    # times 0.1, 0.4, 0.7, 1.0 and sites -1, 0, 1 on both axes of the plane
+    grid = SampleGrid.regular(_model(space_dim=2), 4, 3)
     dt, dx = grid.mesh_widths()
-    assert dt == pytest.approx(0.7)
-    assert dx == pytest.approx(math.sqrt(1.0 + 4.0))
+    assert dt == pytest.approx(0.3, rel=1e-12)
+    assert dx == pytest.approx(math.sqrt(2.0), rel=1e-12)
+    assert SampleGrid.regular(_model(), 1, 1).mesh_widths() == (0.0, 0.0)
 
 
 # -- factorization and marginals ------------------------------------------------------
@@ -121,8 +119,8 @@ def test_min_distances_hold_one_chunk():
 
 
 def test_sampled_variance_matches_the_model():
-    m = _model()
-    grid = SampleGrid(times=(0.5,), site_axes=((0.0,),))
+    m = _model(t0=0.5)
+    grid = SampleGrid.regular(m, 1, 1)  # t = 0.5, x = 0
     L = factor_covariance(m, grid)
     n_reps = 4000
     draws = np.array(
@@ -136,8 +134,8 @@ def test_sampled_variance_matches_the_model():
 
 
 def test_sampled_correlation_matches_the_model():
-    m = _model()
-    grid = SampleGrid(times=(0.4, 0.9), site_axes=((0.0,),))
+    m = _model(t0=0.4, t1=0.9)
+    grid = SampleGrid.regular(m, 2, 1)  # t = 0.4, 0.9 at x = 0
     L = factor_covariance(m, grid)
     n_reps = 4000
     z = np.array(
@@ -336,9 +334,9 @@ def test_hit_probability_input_contracts():
     grid = SampleGrid.regular(m, 3, 3)
     target = Ball(center=(0.0,), radius=0.5)
     with pytest.raises(ConfigurationError):
-        estimate_hit_prob(m, grid, target, n_samples=50)
+        estimate_hit_prob(m, grid, target, n_samples=50, seed=0)
     with pytest.raises(ConfigurationError):
-        estimate_hit_prob(m, grid, Ball(center=(0.0, 0.0), radius=0.5), n_samples=200)
+        estimate_hit_prob(m, grid, Ball(center=(0.0, 0.0), radius=0.5), n_samples=200, seed=0)
 
 
 def test_mesh_inflation_formula():
@@ -348,7 +346,7 @@ def test_mesh_inflation_formula():
     dt, dx = grid.mesh_widths()
     want = 3.0 * (system.q1.value(dt) + system.q2.value(dx)) * math.sqrt(2.0 * math.log(grid.n_points))
     assert mesh_inflation(m, grid) == pytest.approx(want, rel=1e-12)
-    single = SampleGrid(times=(0.5,), site_axes=((0.0,),))
+    single = SampleGrid.regular(m, 1, 1)
     assert mesh_inflation(m, single) == 0.0
 
 
@@ -395,16 +393,16 @@ def test_small_ball_ladder_contracts():
     m = _model()
     grid = SampleGrid.regular(m, 4, 4)
     with pytest.raises(ConfigurationError):
-        small_ball_slope(m, grid, [0.0], eps_ladder=[0.4, 0.2], n_samples=200)
+        small_ball_slope(m, grid, [0.0], eps_ladder=[0.4, 0.2], n_samples=200, seed=0)
     with pytest.raises(ConfigurationError):
-        small_ball_slope(m, grid, [0.0], eps_ladder=[0.1, 0.2, 0.4], n_samples=200)
+        small_ball_slope(m, grid, [0.0], eps_ladder=[0.1, 0.2, 0.4], n_samples=200, seed=0)
     with pytest.raises(ConfigurationError):
-        small_ball_slope(m, grid, [0.0, 0.0], eps_ladder=[0.4, 0.2, 0.1], n_samples=200)
+        small_ball_slope(m, grid, [0.0, 0.0], eps_ladder=[0.4, 0.2, 0.1], n_samples=200, seed=0)
     with pytest.raises(ConfigurationError, match="n_samples >= 100"):
-        small_ball_slope(m, grid, [0.0], eps_ladder=[0.4, 0.2, 0.1], n_samples=0)
+        small_ball_slope(m, grid, [0.0], eps_ladder=[0.4, 0.2, 0.1], n_samples=0, seed=0)
     with pytest.raises(InsufficientResolutionError):
         # every replicate lands within 50 of the center, so p sticks at 1
-        small_ball_slope(m, grid, [0.0], eps_ladder=[200.0, 100.0, 50.0], n_samples=200)
+        small_ball_slope(m, grid, [0.0], eps_ladder=[200.0, 100.0, 50.0], n_samples=200, seed=0)
 
 
 def test_point_trend_returns_one_estimate_per_grid():

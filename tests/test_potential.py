@@ -47,16 +47,16 @@ def test_box_distance():
 
 def test_point_set_distance():
     pts = PointSet(points=np.array([[0.0], [1.0]]))
-    assert pts.distance([0.4])[0] == pytest.approx(0.4)
-    line = PointSet(points=np.array([0.0, 1.0]))  # a 1-d array is points on a line
-    assert line.dim == 1 and line.distance([0.4])[0] == pytest.approx(0.4)
+    assert pts.distance([[0.4]])[0] == pytest.approx(0.4)
+    plane = PointSet(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
+    assert plane.distance([[0.0, 0.5], [1.0, 1.0]]).tolist() == [0.5, 0.0]
 
 
 def test_cantor_distance():
     dust = CantorDust(level=1)
-    assert dust.distance([0.5])[0] == pytest.approx(1.0 / 6.0)
-    assert dust.distance([0.2])[0] == 0.0
-    assert dust.distance([1.2])[0] == pytest.approx(0.2)
+    assert dust.distance([[0.5]])[0] == pytest.approx(1.0 / 6.0)
+    assert dust.distance([[0.2]])[0] == 0.0
+    assert dust.distance([[1.2]])[0] == pytest.approx(0.2)
     plane = CantorDust(level=1, dim=2)
     assert plane.distance([[0.5, 0.5]])[0] == pytest.approx(math.sqrt(2.0) / 6.0)
 
@@ -140,6 +140,7 @@ def test_oversized_cover_is_rejected():
         lambda: Ball(center=(0.0,), radius=math.inf),
         lambda: Box(lo=(0.0,), hi=(math.inf,)),
         lambda: Box(lo=(0.0, -math.inf), hi=(1.0, 1.0)),
+        lambda: PointSet(points=np.array([0.0, 1.0])),  # points are rows
     ],
 )
 def test_invalid_targets_are_rejected(build):
@@ -150,6 +151,8 @@ def test_invalid_targets_are_rejected(build):
 def test_distance_checks_coordinate_count():
     with pytest.raises(ConfigurationError):
         Ball(center=(0.0, 0.0), radius=1.0).distance([[1.0]])
+    with pytest.raises(ConfigurationError):
+        CantorDust(level=1).distance([0.5])  # points are rows, also on a line
 
 
 # -- simplex optimizer --------------------------------------------------------------
@@ -192,14 +195,11 @@ def test_optimizer_agrees_with_convex_solver_within_gap():
     target = Box(lo=(0.0,), hi=(1.0,))
     report = capacity(kernel, target, n_cells=32, tol=1e-8)
 
-    centers, widths = target.cells(32)
+    centers, width = target.cells(32)
     diffs = centers[:, None, :] - centers[None, :, :]
     dists = np.sqrt(np.sum(diffs * diffs, axis=2))
     K = np.asarray(kernel.radial_profile(dists), dtype=float)
-    diag = np.array(
-        [float(np.mean(kernel.radial_profile(w * _unit_pair_seps(target.dim)))) for w in widths]
-    )
-    np.fill_diagonal(K, diag)
+    np.fill_diagonal(K, float(np.mean(kernel.radial_profile(width * _unit_pair_seps(target.dim)))))
 
     mu = cp.Variable(K.shape[0], nonneg=True)
     prob = cp.Problem(cp.Minimize(cp.quad_form(mu, cp.psd_wrap(K))), [cp.sum(mu) == 1])
@@ -220,15 +220,15 @@ def test_constant_kernel_gives_capacity_one():
 
 def test_points_are_polar_for_singular_kernels():
     kernel = riesz_kernel(0.5, 1)
-    report = capacity(kernel, PointSet(points=np.array([[0.3]])), n_cells=4)
+    report = capacity(kernel, PointSet(points=np.array([[0.3]])), n_cells=4, tol=1e-6)
     assert report.capacity == 0.0
     assert report.weights is None
     two = PointSet(points=np.array([[0.3], [0.7]]))
-    assert capacity(kernel, two, n_cells=4).capacity == 0.0
+    assert capacity(kernel, two, n_cells=4, tol=1e-6).capacity == 0.0
 
 
 def test_points_carry_capacity_under_bounded_kernels():
-    report = capacity(riesz_kernel(0.0, 1), PointSet(points=np.array([[0.3], [0.7]])), n_cells=4)
+    report = capacity(riesz_kernel(0.0, 1), PointSet(points=np.array([[0.3], [0.7]])), n_cells=4, tol=1e-6)
     assert report.capacity == pytest.approx(1.0, rel=1e-9)
 
 
@@ -292,11 +292,11 @@ def test_capacity_certificate_and_minimizer():
 )
 def test_capacity_solve_is_pinned_bit_for_bit(case, energy, gap, iterations, weights_sha256):
     if case == "interval":
-        rep = capacity(riesz_kernel(0.3, 1), Box(lo=(0.0,), hi=(1.0,)), n_cells=1024)
+        rep = capacity(riesz_kernel(0.3, 1), Box(lo=(0.0,), hi=(1.0,)), n_cells=1024, tol=1e-6)
     else:
         # the critical model's power-log gauge, on a box inside R^4
         kernel = kernel_from_gauge(model_gauges(HeatModel(hurst=0.75, components=4)))
-        rep = capacity(kernel, Box(lo=(0.0,) * 4, hi=(0.5, 1.0, 0.25, 0.0)), n_cells=256)
+        rep = capacity(kernel, Box(lo=(0.0,) * 4, hi=(0.5, 1.0, 0.25, 0.0)), n_cells=256, tol=1e-6)
     assert (rep.energy.hex(), rep.gap.hex(), rep.iterations) == (energy, gap, iterations)
     assert hashlib.sha256(rep.weights.tobytes()).hexdigest() == weights_sha256
 
@@ -304,15 +304,69 @@ def test_capacity_solve_is_pinned_bit_for_bit(case, energy, gap, iterations, wei
 def test_capacity_error_contracts():
     kernel = riesz_kernel(0.3, 1)
     with pytest.raises(ConfigurationError):
-        capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=1)
+        capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=1, tol=1e-6)
     with pytest.raises(ConfigurationError):
-        capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), tol=0.0)
-    with pytest.raises(ConfigurationError):
-        # a 5-d ball keeps none of its 2^5 cell centers, which lie at radius sqrt(5)/2
-        capacity(riesz_kernel(0.3, 5), Ball(center=(0.0,) * 5, radius=1.0), n_cells=32)
-    with pytest.raises(ConfigurationError):
-        # coincident centers
-        capacity(riesz_kernel(0.0, 1), PointSet(points=np.array([[0.5], [0.5]])))
+        capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=256, tol=0.0)
+    with pytest.raises(ConfigurationError, match="coincident"):
+        capacity(riesz_kernel(0.0, 1), PointSet(points=np.array([[0.5], [0.5]])), n_cells=256, tol=1e-6)
+    with pytest.raises(ConfigurationError, match="coincident"):
+        # checked ahead of the self-energy, which is infinite here
+        capacity(riesz_kernel(0.5, 1), PointSet(points=np.array([[0.5], [0.5]])), n_cells=256, tol=1e-6)
+
+
+def test_capacity_cells_are_bounded():
+    # K holds n^2 float64: the bound is checked before the cells are made,
+    # and again on the cell count, which a point set does not take from n_cells
+    kernel = riesz_kernel(0.3, 1)
+    with pytest.raises(ConfigurationError, match="at most 4096"):
+        capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=10**12, tol=1e-6)
+    many = PointSet(points=np.arange(4097.0).reshape(-1, 1))
+    with pytest.raises(ConfigurationError, match="4097 cells"):
+        capacity(riesz_kernel(0.0, 1), many, n_cells=256, tol=1e-6)
+
+
+def test_five_dimensional_ball_has_a_capacity():
+    # round(32^(1/5)) = 2 cells per axis would put every center outside the
+    # ball, at sqrt(5)/2 radii; three per axis keep the center and its neighbours
+    report = capacity(riesz_kernel(0.3, 5), Ball(center=(0.0,) * 5, radius=1.0), n_cells=32, tol=1e-6)
+    assert report.capacity > 0.0
+    assert report.gap <= 1e-6 * report.energy
+    assert len(report.weights) == len(Ball(center=(0.0,) * 5, radius=1.0).cells(32)[0])
+
+
+def test_twenty_dimensional_ball_cover_in_closed_form():
+    # 3 cells per axis in place of round(4096^(1/20)) = 2: the kept offsets
+    # (in half widths) are 0 or +-2 with at most two nonzero, as 3 * 4 > 9;
+    # the bounding grid of 3^20 cells is never built
+    centers, width = Ball(center=(0.0,) * 20, radius=1.0).cells(4096)
+    assert width == 2.0 / 3.0
+    assert len(centers) == 1 + 2 * 20 + 4 * (20 * 19 // 2)
+    assert np.all(np.count_nonzero(np.abs(centers) > 0.1, axis=1) <= 2)
+
+
+@pytest.mark.parametrize("radius", [0.1, 0.2, 0.3, 0.4, 0.6, 0.7, 0.9, 1.1, 1.3])
+def test_four_dimensional_ball_keeps_the_centers_on_its_sphere(radius):
+    # 2 cells per axis: all 16 centers lie exactly on the sphere, at
+    # (+-r/2, +-r/2, +-r/2, +-r/2), and belong to the closed ball
+    centers, width = Ball(center=(0.0,) * 4, radius=radius).cells(16)
+    assert len(centers) == 16 and width == radius
+    np.testing.assert_allclose(np.abs(centers), radius / 2.0, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_ball_cover_is_never_empty_and_exact(dim):
+    rng = np.random.default_rng(dim)
+    for n_cells in (2, 3, 5, 16, 32, 64, 100, 256, 1000, 4096):
+        ball = Ball(center=tuple(rng.normal(size=dim)), radius=float(rng.uniform(0.01, 3.0)))
+        centers, width = ball.cells(n_cells)
+        assert len(centers) >= 1
+        # the product-grid reference: every cell of the bounding cube whose
+        # center is inside, by the center's offset in half widths
+        per_axis = round(2.0 * ball.radius / width)
+        offsets = 2 * np.arange(per_axis) + 1 - per_axis
+        grid = np.stack(np.meshgrid(*[offsets] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+        kept = (grid[np.sum(grid**2, axis=1) <= per_axis**2] + per_axis - 1) // 2
+        assert np.array_equal(centers, np.asarray(ball.center) - ball.radius + width * (kept + 0.5))
 
 
 def test_non_finite_kernel_off_diagonal_is_an_error():
@@ -322,7 +376,7 @@ def test_non_finite_kernel_off_diagonal_is_an_error():
 
     kernel = PotentialKernel(profile, integrable_at_zero=True)
     with pytest.raises(KernelError):
-        capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=4)
+        capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=4, tol=1e-6)
 
 
 # -- gauge kernels ------------------------------------------------------------------------
