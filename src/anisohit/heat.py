@@ -538,33 +538,54 @@ def model_gauges(model: HeatModel) -> GaugeSystem:
 # -- assembled covariance ------------------------------------------------------
 
 
-def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray) -> np.ndarray:
-    """Dense one-component covariance over the product grid times x sites.
+def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray, parity=None) -> list[np.ndarray]:
+    """One-component covariance over the product grid times x sites, by parity block.
 
-    Rows are ordered time-major.  Each distinct time pair costs one
-    quadrature rule evaluated against the distinct site separations, so a
-    64 x 64 grid needs 2080 rules rather than 8.4 million kernel calls.  All
-    pairs go through the batched rule builder at once; every block is the
-    scalar kernel's to the bit, and all rules form their spatial factor in
-    one reused buffer, so the assembly allocates no large temporaries.
+    ``parity`` is ``(classes, reflections)`` as ``SampleGrid.parity`` gives
+    it: the site indices of each class, and for each reflection of the
+    sites a permutation of them with a sign per class.  Block c is the
+    covariance of class c, rows time-major over its sites; its entry for
+    sites x and y is the signed mean over the reflections of the entry for
+    x and the reflected y.  Sites without mirror partners (no ``parity``)
+    give one block, the dense covariance.
+
+    Each distinct time pair costs one quadrature rule evaluated against the
+    distinct site separations, so a 64 x 64 grid needs 2080 rules rather
+    than 8.4 million kernel calls.  All pairs go through the batched rule
+    builder at once; a dense block is the scalar kernel's to the bit, and
+    all rules form their spatial factor in one reused buffer, so the
+    assembly allocates no large temporaries besides the blocks.
     """
     times = np.asarray(times, dtype=float)
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
     nt, ns = len(times), len(sites)
+    if parity is None:
+        parity = [np.arange(ns)], [(np.arange(ns), np.ones(1))]
+    classes, reflections = parity
     diffs = sites[:, None, :] - sites[None, :, :]
     seps = np.sqrt(np.sum(diffs * diffs, axis=2))
     uniq, inverse = np.unique(np.round(seps, 12), return_inverse=True)
     inverse = inverse.reshape(ns, ns)
     rows, cols = np.triu_indices(nt)
     vals = model._cov_pairs(times[rows], times[cols], np.broadcast_to(uniq, (rows.size, uniq.size)))
-    cov = np.empty((nt * ns, nt * ns))
-    for i in range(nt):
-        # the blocks (i, j) for j >= i, which are the pairs' next nt - i rows
-        blocks = vals[: nt - i][:, inverse]
-        vals = vals[nt - i :]
-        cov[i * ns : (i + 1) * ns, i * ns :] = blocks.transpose(1, 0, 2).reshape(ns, -1)
-        cov[(i + 1) * ns :, i * ns : (i + 1) * ns] = blocks[1:].transpose(0, 2, 1).reshape(-1, ns)
-    return cov
+    out = []
+    for c, members in enumerate(classes):
+        k = len(members)
+        (sign0, idx0), *rest = [(sign[c], inverse[np.ix_(members, perm[members])]) for perm, sign in reflections]
+        cov = np.empty((nt * k, nt * k))
+        out.append(cov)
+        pairs = vals
+        for i in range(nt if k else 0):
+            # the blocks (i, j) for j >= i, which are the pairs' next nt - i rows
+            head, pairs = pairs[: nt - i], pairs[nt - i :]
+            blocks = sign0 * head[:, idx0]
+            for sign, idx in rest:
+                blocks += sign * head[:, idx]
+            if rest:
+                blocks *= 1.0 / (1 + len(rest))
+            cov[i * k : (i + 1) * k, i * k :] = blocks.transpose(1, 0, 2).reshape(k, -1)
+            cov[(i + 1) * k :, i * k : (i + 1) * k] = blocks[1:].transpose(0, 2, 1).reshape(-1, k)
+    return out
 
 
 # -- slope experiments ---------------------------------------------------------

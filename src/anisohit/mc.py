@@ -4,17 +4,26 @@ A grid is regular over the model window: ``n_times`` equally spaced times
 in [t0, t1] times one axis of ``n_sites`` equally spaced sites in
 [-M, M], repeated in each spatial dimension, at most 4096 points in all.
 The field restricted to such a grid is a Gaussian vector with the model's
-covariance matrix; one Cholesky factor per grid, computed in place over the
-assembled matrix (LAPACK ``dpotrf``), serves every replicate and component.
+covariance matrix.  That covariance depends on space only through |x - y|,
+so it is unchanged when a spatial axis is reflected, and the site axis is
+its own mirror image: the vector splits exactly into 2^d independent
+reflection-parity classes of about n/2^d points each (``SampleGrid.parity``),
+and the grid covariance into one block per class.  Each block has its own
+Cholesky factor, computed in place over the assembled block (LAPACK
+``dpotrf``), which serves every replicate and component; on a 64 x 64 grid
+two 2048-point blocks take half the memory and half the multiply flops of
+one dense factor, and a quarter of its factorization flops.
 Randomness is counter-based (Philox) and keyed by
 (seed, replicate, component), so estimates do not depend on chunking or
 evaluation order, and any single replicate can be reproduced in isolation.
-Per chunk of replicates, the normals are drawn straight into the layout of
-one in-place triangular multiply by the factor (BLAS ``dtrmm``, half the
-flops of a dense product), and the minimum distance to the target is taken
-per replicate, with consecutive replicates stacked into one distance call of
-at most 4096 field points.  Each chunk is released before the next is drawn,
-so a run holds one (n x n) factor and one chunk of field values.
+Per chunk of replicates, the first n normals of each stream are drawn
+straight into the layouts of one in-place triangular multiply per class
+(BLAS ``dtrmm``), a per-axis +/- butterfly (``SampleGrid.unfold``) turns the
+class values into field values in place, and the minimum distance to the
+target is taken per replicate over all n points, with consecutive
+replicates stacked into one distance call of at most 4096 field points.
+Each chunk is released before the next is drawn, so a run holds the block
+factors and one chunk of field values.
 
 ``dpotrf`` and ``dtrmm`` are scipy's own compiled routines, loaded from the
 two f2py extension modules of ``scipy.linalg`` without importing that
@@ -125,10 +134,10 @@ class SampleGrid:
                 f"grid has {n_points} points; factorization bound is {_MAX_GRID_POINTS}"
             )
         times = np.linspace(model.t0, model.t1, n_times)
-        if n_sites == 1:
-            axis = np.zeros(1)
-        else:
-            axis = np.linspace(-model.box_radius, model.box_radius, n_sites)
+        # mirrored sites are exact negatives (np.linspace alone is off by an
+        # ulp at n = 4, 8, ...), and the ends stay at -M and M exactly
+        ends = np.linspace(-model.box_radius, model.box_radius, n_sites)
+        axis = 0.5 * (ends - ends[::-1])
         return cls(tuple(float(t) for t in times), tuple(float(v) for v in axis), model.space_dim)
 
     @property
@@ -149,33 +158,107 @@ class SampleGrid:
             dx2 += dx**2
         return float(dt), math.sqrt(dx2)
 
+    # -- reflection parity ------------------------------------------------------------
+    #
+    # The covariance is unchanged when a spatial axis is reflected, and the
+    # site axis is its own mirror image, so the field splits into 2^d
+    # independent parity classes.  Class sigma has one flag per axis, 0 for
+    # the even part (u(x) + u(-x))/2 and 1 for the odd part (u(x) - u(-x))/2,
+    # and the classes are ordered with the first axis slowest.
 
-def factor_covariance(model: HeatModel, grid: SampleGrid) -> np.ndarray:
-    """Cholesky factor of the grid covariance, with a tiny-jitter fallback.
+    def _classes(self) -> list[tuple[int, ...]]:
+        return list(np.ndindex(*(2,) * self.space_dim))
 
-    The covariance is factored in place: LAPACK ``dpotrf`` overwrites the
-    lower triangle with the factor and reads nothing above it, so the
-    assembled matrix is the only (n x n) array held.  When a clean
-    factorization fails, the lower triangle is restored from the untouched
-    upper one and a saved diagonal, the diagonal is lifted by 1e-10 of its
-    largest entry, once more by 1e-9, and then the matrix is declared
-    numerically singular.  A lift is logged as a warning.  The result is
-    C-contiguous and lower triangular.  ``dpotrf`` is scipy's, loaded by
-    ``_lapack_blas`` without the ``scipy.linalg`` package import.
+    def _half_axis(self, odd: int) -> np.ndarray:
+        """Site-axis indices where a part lives, by increasing x: x >= 0 for
+        the even part, x > 0 for the odd one (it vanishes at x = 0)."""
+        n = len(self.site_axis)
+        return np.arange(n // 2 + odd * (n % 2), n)
+
+    def parity(self) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
+        """The parity classes' sites and the grid's axis reflections.
+
+        Returns the indices into ``sites`` of each class, in class order, a
+        product of half axes with the first axis slowest; and for each
+        reflection eta (a flag per axis, 1 where the axis is reflected, in
+        the same order) the permutation of ``sites`` it induces and its sign
+        in each class, -1 when eta reflects an odd number of the class's odd
+        axes.  Class sigma's covariance between sites x and y is the signed
+        mean over eta of cov(x, eta y).
+        """
+        n, d = len(self.site_axis), self.space_dim
+        index = np.arange(n**d).reshape((n,) * d)
+        classes = self._classes()
+        sites = [index[np.ix_(*(self._half_axis(odd) for odd in sigma))].ravel() for sigma in classes]
+        reflections = [
+            (
+                index[tuple(slice(None, None, -1 if flip else 1) for flip in eta)].ravel(),
+                np.array([(-1.0) ** sum(f * o for f, o in zip(eta, sigma)) for sigma in classes]),
+            )
+            for eta in classes
+        ]
+        return sites, reflections
+
+    def unfold(self, parts: list[np.ndarray]) -> None:
+        """Turn rows of parity-class values into field values, in place.
+
+        ``parts[c]`` holds rows of class c's values, time-major over the
+        class's sites (the order of ``parity``).  Axis by axis, the even
+        part a and the odd part b of each pair of classes become
+        u(x) = a(x) + b(x) in a's place and u(-x) = a(x) - b(x) in b's.
+        Afterwards ``parts[c]`` holds the field, time-major, at the sites
+        with coordinates x >= 0 on class c's even axes and x < 0 on its odd
+        ones, each axis by increasing |x|.
+        """
+        n, d = len(self.site_axis), self.space_dim
+        sizes = [len(self._half_axis(odd)) for odd in (0, 1)]
+        classes = self._classes()
+        shaped = [p.reshape(len(p), len(self.times), *(sizes[odd] for odd in sigma)) for p, sigma in zip(parts, classes)]
+        for k in range(d):
+            for c, sigma in enumerate(classes):
+                if sigma[k]:
+                    continue
+                # the sites x > 0 of the even part, which the odd part shares
+                even = shaped[c][(slice(None),) * (k + 2) + (slice(n % 2, None),)]
+                odd = shaped[c + 2 ** (d - 1 - k)]
+                even += odd
+                odd *= -2.0
+                odd += even  # (a + b) - 2b, without a second buffer
+
+
+def factor_covariance(model: HeatModel, grid: SampleGrid) -> list[np.ndarray]:
+    """Cholesky factors of the grid covariance's parity blocks, in class order.
+
+    Each block (``covariance_matrix`` over ``grid.parity()``) is factored in
+    place: LAPACK ``dpotrf`` overwrites the lower triangle with the factor
+    and reads nothing above it, so the assembled blocks are the only
+    covariance-sized arrays held.  When a clean factorization fails, the
+    lower triangle is restored from the untouched upper one and a saved
+    diagonal, the diagonal is lifted by 1e-10 of its largest entry, once
+    more by 1e-9, and then the block is declared numerically singular.  A
+    lift is logged as a warning.  Each factor is C-contiguous and lower
+    triangular; a class without sites has a 0 x 0 one.  ``dpotrf`` is
+    scipy's, loaded by ``_lapack_blas`` without the ``scipy.linalg`` package
+    import.
     """
-    dpotrf, _ = _lapack_blas()
+    blocks = covariance_matrix(model, np.asarray(grid.times), grid.sites, grid.parity())
+    for cov in blocks:
+        _factor_in_place(cov)
+    return blocks
 
-    cov = covariance_matrix(model, np.asarray(grid.times), grid.sites)
+
+def _factor_in_place(cov: np.ndarray) -> None:
+    dpotrf, _ = _lapack_blas()
     n = cov.shape[0]
     diag = np.diag(cov).copy()
-    scale = float(np.max(diag))
+    scale = float(np.max(diag, initial=0.0))
     for rel in (0.0, 1e-10, 1e-9):
         if rel:
             for i in range(1, n):
                 cov[i, :i] = cov[:i, i]
             np.fill_diagonal(cov, diag + rel * scale)
         # cov.T is the column-major view, whose upper triangle is cov's lower
-        lt, info = dpotrf(cov.T, lower=0, overwrite_a=1, clean=0)
+        info = dpotrf(cov.T, lower=0, overwrite_a=1, clean=0)[1]
         if info == 0:
             break
     else:
@@ -190,27 +273,31 @@ def factor_covariance(model: HeatModel, grid: SampleGrid) -> np.ndarray:
             "grid covariance is numerically singular; factored it with a diagonal "
             "jitter of %.0e times the largest variance", rel
         )
-    factor = lt.T  # cov itself, since dpotrf worked in place
     for i in range(n - 1):
-        factor[i, i + 1 :] = 0.0
-    return factor
+        cov[i, i + 1 :] = 0.0
 
 
-def sample_fields(factor: np.ndarray, components: int, seed: int, reps: Sequence[int]) -> np.ndarray:
-    """Field vectors of the given replicates, shape (len(reps), n_points, components).
+def sample_fields(
+    grid: SampleGrid, factors: list[np.ndarray], components: int, seed: int, reps: Sequence[int]
+) -> list[np.ndarray]:
+    """Field values of the given replicates, one array per parity class.
 
-    Replicate r, component c is ``factor @ z`` with z the Philox stream
-    keyed (seed, r, c), so any replicate is reproduced by drawing it alone.
-    Only the lower triangle of ``factor`` is read.  The normals fill one row
-    per (replicate, component) of a C-ordered buffer, whose transpose is the
-    column-major operand that ``dtrmm`` overwrites; the result is a view of it.
-    ``dtrmm`` is scipy's, loaded by ``_lapack_blas`` without the
-    ``scipy.linalg`` package import.
+    Array c has shape (len(reps), class size, components) and holds the
+    field at class c's sites after ``grid.unfold``: together the arrays
+    cover every grid point once.  The first n normals of the Philox stream
+    keyed (seed, r, c) fill the classes' vectors in class order, each class
+    is multiplied by its factor ``factors[c]`` (only the lower triangle is
+    read), and the butterfly of ``grid.unfold`` turns the parts into field
+    values, so any replicate is reproduced by drawing it alone.  Each class
+    keeps one C-ordered buffer with one row per (replicate, component),
+    whose transpose is the column-major operand that ``dtrmm`` overwrites;
+    the results are views of those buffers.  ``dtrmm`` is scipy's, loaded
+    by ``_lapack_blas`` without the ``scipy.linalg`` package import.
     """
     _, dtrmm = _lapack_blas()
 
-    n = factor.shape[0]
-    zt = np.empty((len(reps) * components, n))
+    parts = [np.empty((len(reps) * components, f.shape[0])) for f in factors]
+    live = [p for p in parts if p.size]  # a class without sites draws nothing
     # one bit generator per call, rekeyed in place: constructing a Philox
     # costs four times as much as resetting its state
     bits = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
@@ -220,9 +307,12 @@ def sample_fields(factor: np.ndarray, components: int, seed: int, reps: Sequence
         for c in range(components):
             state["state"]["key"] = np.array([seed, (rep << 32) | c], dtype=np.uint64)
             bits.state = state
-            gen.standard_normal(out=zt[j * components + c])
-    zt = dtrmm(1.0, factor.T, zt.T, lower=0, trans_a=1, overwrite_b=1).T
-    return zt.reshape(len(reps), components, n).transpose(0, 2, 1)
+            for part in live:
+                gen.standard_normal(out=part[j * components + c])
+    for k, factor in enumerate(factors):
+        parts[k] = dtrmm(1.0, factor.T, parts[k].T, lower=0, trans_a=1, overwrite_b=1).T
+    grid.unfold(parts)
+    return [p.reshape(len(reps), components, -1).transpose(0, 2, 1) for p in parts]
 
 
 # -- hitting ----------------------------------------------------------------------
@@ -278,26 +368,31 @@ class HitProbability:
 
 def _min_distances(
     model: HeatModel,
-    factor: np.ndarray,
+    grid: SampleGrid,
+    factors: list[np.ndarray],
     target: TargetSet,
     n_samples: int,
     seed: int,
 ) -> np.ndarray:
     """Per-replicate minimum distance from the sampled field to the target."""
     comps = model.components
-    n = factor.shape[0]
-    group = max(1, _DISTANCE_POINTS // n)
-    out = np.empty(n_samples)
+    out = np.full(n_samples, np.inf)
     for start in range(0, n_samples, _CHUNK):
         stop = min(start + _CHUNK, n_samples)
-        fields = sample_fields(factor, comps, seed, range(start, stop))
-        for lo in range(0, stop - start, group):
-            part = fields[lo : lo + group]
-            # one replicate reshapes to a view; several stack into a copy
-            dist = target.distance(part.reshape(-1, comps))
-            out[start + lo : start + lo + len(part)] = dist.reshape(len(part), n).min(axis=1)
+        fields = sample_fields(grid, factors, comps, seed, range(start, stop))
+        for part in fields:
+            size = part.shape[1]
+            if not size:
+                continue
+            group = max(1, _DISTANCE_POINTS // size)
+            for lo in range(0, stop - start, group):
+                rows = part[lo : lo + group]
+                # one replicate reshapes to a view; several stack into a copy
+                dist = target.distance(rows.reshape(-1, comps)).reshape(len(rows), size).min(axis=1)
+                seen = out[start + lo : start + lo + len(rows)]
+                np.minimum(seen, dist, out=seen)
         # let this chunk go before the next is drawn, so only one is held
-        del fields, part
+        del fields, part, rows
     return out
 
 
@@ -320,8 +415,8 @@ def estimate_hit_prob(
             f"target lives in dimension {target.dim}, field has {model.components} components"
         )
     rho = mesh_inflation(model, grid)
-    factor = factor_covariance(model, grid)
-    dmin = _min_distances(model, factor, target, n_samples, seed)
+    factors = factor_covariance(model, grid)
+    dmin = _min_distances(model, grid, factors, target, n_samples, seed)
     raw_hits = int(np.sum(dmin <= 0.0))
     inf_hits = int(np.sum(dmin <= rho))
     return HitProbability(
@@ -365,8 +460,8 @@ def small_ball_slope(
     z = np.asarray(center, dtype=float).reshape(1, -1)
     if z.shape[1] != model.components:
         raise ConfigurationError("center must have one coordinate per field component")
-    factor = factor_covariance(model, grid)
-    dmin = _min_distances(model, factor, PointSet(z), n_samples, seed)
+    factors = factor_covariance(model, grid)
+    dmin = _min_distances(model, grid, factors, PointSet(z), n_samples, seed)
     p_hat = np.array([np.mean(dmin <= e) for e in eps])
     if np.any(p_hat <= 0.0) or np.any(p_hat >= 1.0):
         raise InsufficientResolutionError(

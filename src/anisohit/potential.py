@@ -31,6 +31,8 @@ _CELL_PAIRS = 64  # quasi-random pairs averaged for a cell's self-energy
 _FW_MAX_ITER = 200_000  # Frank-Wolfe iteration cap of the capacity solve
 # cells of a capacity solve: K alone is n^2 float64 (128 MiB at the bound)
 _MAX_CAPACITY_CELLS = 4096
+# entries of one block of point-set squared distances (2 MiB of float64)
+_DISTANCE_BLOCK = 1 << 18
 
 
 # -- target sets ---------------------------------------------------------------
@@ -191,9 +193,29 @@ class PointSet(TargetSet):
         return self.points.shape[1]
 
     def distance(self, points) -> np.ndarray:
+        """Distance to the nearest point of the set.
+
+        The squared distances are summed coordinate by coordinate over
+        blocks of the set's points, so that one block's (queries x points)
+        array holds at most ``_DISTANCE_BLOCK`` entries (one point's column
+        when there are more queries); the minimum is the same under any
+        blocking, and the square root is taken once per query.
+        """
         pts = self._points2d(points)
-        diffs = pts[:, None, :] - self.points[None, :, :]
-        return np.min(np.linalg.norm(diffs, axis=2), axis=1)
+        step = min(len(self.points), max(1, _DISTANCE_BLOCK // max(1, len(pts))))
+        sq, diff = np.empty((2, len(pts), step))
+        out = np.full(len(pts), np.inf)
+        for lo in range(0, len(self.points), step):
+            block = self.points[lo : lo + step]
+            s, d = sq[:, : len(block)], diff[:, : len(block)]
+            np.subtract.outer(pts[:, 0], block[:, 0], out=s)
+            s *= s
+            for k in range(1, self.dim):
+                np.subtract.outer(pts[:, k], block[:, k], out=d)
+                d *= d
+                s += d
+            np.minimum(out, np.min(s, axis=1), out=out)
+        return np.sqrt(out, out=out)
 
     def cells(self, n_cells: int) -> tuple[np.ndarray, float]:
         return self.points.copy(), 0.0

@@ -189,6 +189,9 @@ def test_power_gauge_is_increasing_and_invertible(nu, tau1, tau2):
 )
 # near the branch point of the lower Lambert branch, and exactly at it
 @example(nu=1.0, delta=1.0, scale=1.0, frac=0.99999)
+# the branch offset summed in doubles put tau 1.16e-9 off here; the exact
+# inverse of the rounded y is 5.4e-10 off
+@example(nu=1.0, delta=1.0, scale=1.0, frac=1.0 - 1e-7)
 @example(nu=1.0, delta=1.0631079902991576, scale=1.0, frac=1.0)
 def test_power_log_round_trip_on_its_domain(nu, delta, scale, frac):
     q = GaugeSpec.power_log(nu, delta, scale)

@@ -1,5 +1,6 @@
 """Grid sampling, keyed reproducibility, hitting estimates, Wilson intervals."""
 
+import itertools
 import logging
 import math
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 
 import anisohit.mc
 from anisohit.errors import ConfigurationError, FactorizationError, InsufficientResolutionError
-from anisohit.heat import HeatModel, model_gauges
+from anisohit.heat import HeatModel, covariance_matrix, model_gauges
 from anisohit.mc import (
     SampleGrid,
     _min_distances,
@@ -30,6 +31,63 @@ def _model(**kw):
     return HeatModel(**kw)
 
 
+# The parity layout, written out from its definition: along one axis of n
+# sites the even part a lives on x >= 0 and the odd part b on x > 0, and
+# u(x) = a(x) + b(x), u(-x) = a(x) - b(x).  A class takes the even or odd
+# map on each axis, the first axis slowest, times the identity in time.
+
+
+def _axis_maps(n, mirror_sign=-1.0):
+    pos = np.arange(n // 2, n)  # sites x >= 0, by increasing x
+    odd = pos[n % 2 :]  # sites x > 0
+    even_map, odd_map = np.zeros((n, len(pos))), np.zeros((n, len(odd)))
+    for j, i in enumerate(pos):
+        even_map[i, j] = even_map[n - 1 - i, j] = 1.0
+    for j, i in enumerate(odd):
+        odd_map[i, j], odd_map[n - 1 - i, j] = 1.0, mirror_sign
+    return even_map, odd_map
+
+
+def _butterfly(grid, mirror_sign=-1.0):
+    """Per class, the matrix taking its values to field values in grid order."""
+    maps = _axis_maps(len(grid.site_axis), mirror_sign)
+    out = []
+    for sigma in itertools.product((0, 1), repeat=grid.space_dim):
+        m = np.eye(len(grid.times))
+        for odd in sigma:
+            m = np.kron(m, maps[odd])
+        out.append(m)
+    return out
+
+
+def _class_points(grid):
+    """Grid point indices of each class's field values after the butterfly:
+    x >= 0 on even axes, x < 0 on odd ones, each by increasing |x|."""
+    n, d, nt = len(grid.site_axis), grid.space_dim, len(grid.times)
+    pos = np.arange(n // 2, n)
+    neg = n - 1 - pos[n % 2 :]
+    index = np.arange(nt * n**d).reshape((nt,) + (n,) * d)
+    return [
+        index[np.ix_(np.arange(nt), *(neg if odd else pos for odd in sigma))].ravel()
+        for sigma in itertools.product((0, 1), repeat=d)
+    ]
+
+
+def _in_grid_order(grid, parts):
+    """The per-class arrays of ``sample_fields`` as one (reps, n_points, components) array."""
+    out = np.full((parts[0].shape[0], grid.n_points, parts[0].shape[2]), np.nan)
+    for part, points in zip(parts, _class_points(grid)):
+        out[:, points, :] = part
+    assert not np.isnan(out).any()  # every point is some class's, exactly once
+    return out
+
+
+def _parity_error(grid, factors, dense, mirror_sign=-1.0):
+    """max |S S^T - C| / max var for S = butterfly . blockdiag(factors)."""
+    s = np.hstack([b @ f for b, f in zip(_butterfly(grid, mirror_sign), factors)])
+    return np.max(np.abs(s @ s.T - dense)) / np.max(np.diag(dense))
+
+
 # -- grids -------------------------------------------------------------------------
 
 
@@ -43,8 +101,23 @@ def test_regular_grid_shape_and_window():
     plane = SampleGrid.regular(_model(space_dim=2), 3, 4)
     assert plane.n_points == 48 and plane.sites.shape == (16, 2)
     # one axis in each dimension, the first varying slowest
-    axis = np.linspace(-1.0, 1.0, 4)
+    axis = np.asarray(plane.site_axis)
+    np.testing.assert_allclose(axis, np.linspace(-1.0, 1.0, 4), rtol=0.0, atol=4.5e-16)
     assert np.array_equal(plane.sites, np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("box_radius", [1.0, 2.7])
+def test_site_axis_is_exactly_mirror_symmetric(box_radius):
+    # np.linspace(-1, 1, n) is not, at n = 4, 8, 16, 32, 64: the parity
+    # blocks pair each site with its exact negative
+    m = _model(box_radius=box_radius)
+    for n in range(1, 66):
+        axis = np.asarray(SampleGrid.regular(m, 1, n).site_axis)
+        assert np.array_equal(axis[::-1], -axis), n
+        if n > 1:
+            assert axis[0] == -box_radius and axis[-1] == box_radius
+            np.testing.assert_allclose(axis, np.linspace(-box_radius, box_radius, n), rtol=0.0, atol=1e-15 * box_radius)
+    assert SampleGrid.regular(m, 1, 1).site_axis == (0.0,)
 
 
 def test_grid_validation():
@@ -70,61 +143,90 @@ def test_mesh_widths():
 # -- factorization and marginals ------------------------------------------------------
 
 
-def test_factor_reproduces_the_covariance(caplog):
-    m = _model()
-    grid = SampleGrid.regular(m, 3, 4)
-    with caplog.at_level(logging.WARNING, logger="anisohit"):
-        L = factor_covariance(m, grid)
-    assert caplog.records == []  # a clean grid needs no jitter
-    from anisohit.heat import covariance_matrix
+PARITY_GRIDS = [
+    (dict(), (3, 4)),
+    (dict(), (3, 5)),
+    (dict(), (1, 1)),  # the odd block is empty
+    (dict(hurst=0.8, alpha=0.5, space_dim=2), (2, 5)),
+    (dict(hurst=0.9, space_dim=3), (2, 3)),
+]
+PARITY_IDS = ["d1-even", "d1-odd", "1x1", "d2-alpha0.5-odd", "d3"]
 
-    cov = covariance_matrix(m, np.asarray(grid.times), grid.sites)
-    assert np.max(np.abs(L @ L.T - cov)) <= 1e-8 * np.max(np.diag(cov))
-    assert np.max(np.triu(L, 1)) == 0.0  # lower triangular
-    assert L.flags.c_contiguous
+
+@pytest.mark.parametrize("kw, shape", PARITY_GRIDS, ids=PARITY_IDS)
+def test_factor_reproduces_the_covariance(kw, shape, caplog):
+    m = _model(**kw)
+    grid = SampleGrid.regular(m, *shape)
+    with caplog.at_level(logging.WARNING, logger="anisohit"):
+        factors = factor_covariance(m, grid)
+    assert caplog.records == []  # a clean grid needs no jitter
+    [dense] = covariance_matrix(m, np.asarray(grid.times), grid.sites)
+    assert len(factors) == 2**m.space_dim
+    assert sum(f.shape[0] for f in factors) == grid.n_points
+    assert _parity_error(grid, factors, dense) <= 1e-8
+    for f in factors:
+        assert np.max(np.triu(f, 1), initial=0.0) == 0.0  # lower triangular
+        assert f.flags.c_contiguous
+
+
+@pytest.mark.parametrize("kw, shape", [g for g in PARITY_GRIDS if g[1] != (1, 1)], ids=[i for i in PARITY_IDS if i != "1x1"])
+def test_parity_check_rejects_a_wrong_sign_or_a_dropped_mirror_term(kw, shape):
+    # negative controls for the check above: the odd part entering u(-x)
+    # with a + sign, and blocks assembled without the reflected term
+    m = _model(**kw)
+    grid = SampleGrid.regular(m, *shape)
+    factors = factor_covariance(m, grid)
+    times = np.asarray(grid.times)
+    [dense] = covariance_matrix(m, times, grid.sites)
+    assert _parity_error(grid, factors, dense, mirror_sign=1.0) > 1e-3
+    classes, reflections = grid.parity()
+    dropped = covariance_matrix(m, times, grid.sites, (classes, reflections[:1]))
+    factors = [np.linalg.cholesky(b) if b.size else b for b in dropped]
+    assert _parity_error(grid, factors, dense) > 1e-3
 
 
 def test_factor_holds_one_covariance_sized_array():
-    # assembly and factorization share the one (n x n) array that is
+    # assembly and factorization share the parity blocks that are
     # returned; a copy anywhere would double the traced peak
     m = _model()
     grid = SampleGrid.regular(m, 32, 32)
     factor_covariance(m, SampleGrid.regular(m, 2, 2))  # loads LAPACK untraced
     tracemalloc.start()
     try:
-        L = factor_covariance(m, grid)
+        factors = factor_covariance(m, grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert L.flags.c_contiguous
-    assert peak <= 1.25 * L.nbytes
+    assert all(f.flags.c_contiguous for f in factors)
+    assert peak <= 1.25 * sum(f.nbytes for f in factors)
 
 
 def test_min_distances_hold_one_chunk():
     # each chunk of field values is let go before the next is drawn; holding
     # the previous one while sampling would double the traced peak
     m = _model(components=2)
-    L = factor_covariance(m, SampleGrid.regular(m, 16, 16))
+    grid = SampleGrid.regular(m, 16, 16)
+    factors = factor_covariance(m, grid)
     target = Ball(center=(0.1, -0.2), radius=0.3)
-    _min_distances(m, L, target, n_samples=100, seed=1)  # warms up untraced
+    _min_distances(m, grid, factors, target, n_samples=100, seed=1)  # warms up untraced
     n_samples = 2 * anisohit.mc._CHUNK + 17  # the last chunk is short
     tracemalloc.start()
     try:
-        _min_distances(m, L, target, n_samples=n_samples, seed=5)
+        _min_distances(m, grid, factors, target, n_samples=n_samples, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    chunk_bytes = anisohit.mc._CHUNK * m.components * L.shape[0] * 8
+    chunk_bytes = anisohit.mc._CHUNK * m.components * grid.n_points * 8
     assert peak <= 1.5 * chunk_bytes
 
 
 def test_sampled_variance_matches_the_model():
     m = _model(t0=0.5)
     grid = SampleGrid.regular(m, 1, 1)  # t = 0.5, x = 0
-    L = factor_covariance(m, grid)
+    factors = factor_covariance(m, grid)
     n_reps = 4000
     draws = np.array(
-        [sample_fields(L, m.components, 11, [r])[0, 0, 0] for r in range(n_reps)]
+        [sample_fields(grid, factors, m.components, 11, [r])[0][0, 0, 0] for r in range(n_reps)]
     )
     want = m.variance(0.5)
     got = float(np.var(draws))
@@ -136,10 +238,10 @@ def test_sampled_variance_matches_the_model():
 def test_sampled_correlation_matches_the_model():
     m = _model(t0=0.4, t1=0.9)
     grid = SampleGrid.regular(m, 2, 1)  # t = 0.4, 0.9 at x = 0
-    L = factor_covariance(m, grid)
+    factors = factor_covariance(m, grid)
     n_reps = 4000
     z = np.array(
-        [sample_fields(L, m.components, 3, [r])[0, :, 0] for r in range(n_reps)]
+        [sample_fields(grid, factors, m.components, 3, [r])[0][0, :, 0] for r in range(n_reps)]
     )
     want = m._cov_batch(0.4, 0.9, np.zeros(1))[0]
     got = float(np.mean(z[:, 0] * z[:, 1]))
@@ -151,10 +253,11 @@ def test_jitter_lifts_a_singular_covariance(monkeypatch, caplog):
     # the all-ones matrix is PSD of rank one: the clean factorization fails
     # and the first lift, 1e-10 of the largest variance, succeeds
     ones = np.ones((3, 3))
-    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: ones.copy())
+    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: [ones.copy(), np.empty((0, 0))])
     m = _model()
     with caplog.at_level(logging.WARNING, logger="anisohit"):
-        L = factor_covariance(m, SampleGrid.regular(m, 3, 1))
+        L, empty = factor_covariance(m, SampleGrid.regular(m, 3, 1))
+    assert empty.shape == (0, 0)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(ones)
     assert np.max(np.abs(L @ L.T - (ones + 1e-10 * np.eye(3)))) <= 1e-12
@@ -174,16 +277,16 @@ def test_jitter_restores_a_triangle_overwritten_up_to_the_last_pivot(monkeypatch
     from scipy.linalg.lapack import dpotrf
 
     assert dpotrf(cov, lower=1)[1] == 5
-    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: cov.copy())
+    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: [cov.copy(), np.empty((0, 0))])
     m = _model()
-    L = factor_covariance(m, SampleGrid.regular(m, 5, 1))
+    L, _ = factor_covariance(m, SampleGrid.regular(m, 5, 1))
     assert np.max(np.abs(np.triu(L, 1))) == 0.0
     assert np.max(np.abs(L @ L.T - (cov + 1e-10 * scale * np.eye(5)))) <= 1e-12
 
 
 def test_indefinite_covariance_raises(monkeypatch):
     indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: indefinite.copy())
+    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: [indefinite.copy(), np.empty((0, 0))])
     m = _model()
     with pytest.raises(FactorizationError):
         factor_covariance(m, SampleGrid.regular(m, 3, 1))
@@ -194,8 +297,8 @@ def test_public_scipy_modules_serve_when_the_compiled_files_are_not_found(monkey
     # from scipy.linalg itself and give the same bits
     m = _model()
     grid = SampleGrid.regular(m, 3, 4)
-    L = factor_covariance(m, grid)
-    fields = sample_fields(L, 2, 7, [0, 5])
+    factors = factor_covariance(m, grid)
+    fields = sample_fields(grid, factors, 2, 7, [0, 5])
     asked = []
 
     def not_found(stem):
@@ -205,8 +308,10 @@ def test_public_scipy_modules_serve_when_the_compiled_files_are_not_found(monkey
     monkeypatch.setattr(anisohit.mc, "_linalg_extension", not_found)
     anisohit.mc._lapack_blas.cache_clear()
     try:
-        assert np.array_equal(factor_covariance(m, grid), L)
-        assert np.array_equal(sample_fields(L, 2, 7, [0, 5]), fields)
+        for got, want in zip(factor_covariance(m, grid), factors, strict=True):
+            assert np.array_equal(got, want)
+        for got, want in zip(sample_fields(grid, factors, 2, 7, [0, 5]), fields, strict=True):
+            assert np.array_equal(got, want)
     finally:
         anisohit.mc._lapack_blas.cache_clear()
     assert asked
@@ -215,37 +320,45 @@ def test_public_scipy_modules_serve_when_the_compiled_files_are_not_found(monkey
 # -- keyed randomness ------------------------------------------------------------------
 
 
-def _reference_fields(L, components, seed, reps):
-    # one Philox stream per (replicate, component) column, then a dense product
-    n = L.shape[0]
+def _reference_fields(grid, factors, components, seed, reps):
+    # one Philox stream per (replicate, component) column, then a dense
+    # product by butterfly . blockdiag(factors)
+    n = grid.n_points
     z = np.empty((n, len(reps) * components))
     for j, r in enumerate(reps):
         for c in range(components):
             gen = np.random.Generator(np.random.Philox(key=[seed, r << 32 | c]))
             z[:, j * components + c] = gen.standard_normal(n)
-    return np.moveaxis((L @ z).reshape(n, len(reps), components), 0, 1)
+    s = np.hstack([b @ f for b, f in zip(_butterfly(grid), factors)])
+    return np.moveaxis((s @ z).reshape(n, len(reps), components), 0, 1)
 
 
 @pytest.mark.parametrize("components", [1, 4])
-@pytest.mark.parametrize("shape", [(3, 4), (1, 1)], ids=["3x4", "1x1"])
-def test_sample_fields_match_an_independent_reference(components, shape):
-    m = _model()
-    L = factor_covariance(m, SampleGrid.regular(m, *shape))
+@pytest.mark.parametrize(
+    "kw, shape",
+    [(dict(), (3, 4)), (dict(), (1, 1)), (dict(), (3, 5)), (dict(hurst=0.8, alpha=0.5, space_dim=2), (2, 5))],
+    ids=["3x4", "1x1", "3x5", "d2-2x5"],
+)
+def test_sample_fields_match_an_independent_reference(components, kw, shape):
+    m = _model(**kw)
+    grid = SampleGrid.regular(m, *shape)
+    factors = factor_covariance(m, grid)
     reps = [0, 5, 300]
-    got = sample_fields(L, components, 21, reps)
-    want = _reference_fields(L, components, 21, reps)
-    assert got.shape == (len(reps), L.shape[0], components)
+    parts = sample_fields(grid, factors, components, 21, reps)
+    assert [p.shape for p in parts] == [(len(reps), f.shape[0], components) for f in factors]
+    got = _in_grid_order(grid, parts)
+    want = _reference_fields(grid, factors, components, 21, reps)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def test_samples_are_reproducible_and_distinct():
     m = _model()
     grid = SampleGrid.regular(m, 3, 3)
-    L = factor_covariance(m, grid)
-    a = sample_fields(L, m.components, 7, [5])
-    b = sample_fields(L, m.components, 7, [5])
-    c = sample_fields(L, m.components, 7, [6])
-    d = sample_fields(L, m.components, 8, [5])
+    factors = factor_covariance(m, grid)
+    a, b, c, d = (
+        _in_grid_order(grid, sample_fields(grid, factors, m.components, seed, [rep]))
+        for seed, rep in ((7, 5), (7, 5), (7, 6), (8, 5))
+    )
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
@@ -256,11 +369,11 @@ def test_min_distances_match_isolated_replicates():
     # which is what the counter-based keying promises
     m = _model()
     grid = SampleGrid.regular(m, 3, 3)
-    L = factor_covariance(m, grid)
+    factors = factor_covariance(m, grid)
     target = Ball(center=(0.0,), radius=0.25)
-    dmin = _min_distances(m, L, target, n_samples=300, seed=4)
+    dmin = _min_distances(m, grid, factors, target, n_samples=300, seed=4)
     for rep in (0, 137, 299):
-        sample = sample_fields(L, m.components, 4, [rep])[0]
+        sample = _in_grid_order(grid, sample_fields(grid, factors, m.components, 4, [rep]))[0]
         want = float(np.min(target.distance(sample)))
         assert dmin[rep] == pytest.approx(want, rel=1e-12)
 
@@ -277,10 +390,10 @@ def test_min_distances_match_isolated_replicates():
 def test_min_distances_match_isolated_replicates_in_two_components(target):
     m = _model(components=2)
     grid = SampleGrid.regular(m, 4, 4)
-    L = factor_covariance(m, grid)
-    dmin = _min_distances(m, L, target, n_samples=300, seed=4)
+    factors = factor_covariance(m, grid)
+    dmin = _min_distances(m, grid, factors, target, n_samples=300, seed=4)
     for rep in (0, 137, 299):
-        sample = sample_fields(L, m.components, 4, [rep])[0]
+        sample = _in_grid_order(grid, sample_fields(grid, factors, m.components, 4, [rep]))[0]
         want = float(np.min(target.distance(sample)))
         assert dmin[rep] == pytest.approx(want, rel=1e-12)
 

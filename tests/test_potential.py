@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from anisohit.errors import ConfigurationError, KernelError
 from anisohit.gauges import GaugeSpec, GaugeSystem
 from anisohit.heat import HeatModel, model_gauges
 from anisohit.potential import (
+    _DISTANCE_BLOCK,
     Ball,
     Box,
     CantorDust,
@@ -50,6 +52,38 @@ def test_point_set_distance():
     assert pts.distance([[0.4]])[0] == pytest.approx(0.4)
     plane = PointSet(points=np.array([[0.0, 0.0], [1.0, 1.0]]))
     assert plane.distance([[0.0, 0.5], [1.0, 1.0]]).tolist() == [0.5, 0.0]
+
+
+def _unblocked_distance(points, queries):
+    # the whole (queries x points x dim) difference array at once
+    return np.min(np.linalg.norm(queries[:, None, :] - points[None, :, :], axis=2), axis=1)
+
+
+@pytest.mark.parametrize(
+    "n_points, n_queries, dim",
+    [(1, 4096, 4), (3000, 2000, 2), (700, 1, 3), (50, 6000, 6), (2, 300_000, 1)],
+)
+def test_point_set_distance_equals_the_unblocked_minimum(n_points, n_queries, dim):
+    rng = np.random.default_rng(n_points + dim)
+    target = PointSet(rng.standard_normal((n_points, dim)))
+    queries = rng.standard_normal((n_queries, dim))
+    assert np.array_equal(target.distance(queries), _unblocked_distance(target.points, queries))
+
+
+def test_point_set_distance_holds_one_block():
+    # 2000 queries against 3000 points in the plane: the unblocked
+    # difference array alone is 96 MB, a block of squared distances 2 MiB
+    rng = np.random.default_rng(7)
+    target = PointSet(rng.standard_normal((3000, 2)))
+    queries = rng.standard_normal((2000, 2))
+    target.distance(queries[:10])  # warms up untraced
+    tracemalloc.start()
+    try:
+        target.distance(queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * _DISTANCE_BLOCK
 
 
 def test_cantor_distance():
