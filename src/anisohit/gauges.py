@@ -144,6 +144,14 @@ class GaugeSpec:
         with the argument formed in log space so that values of y far below
         the floating point range of ``tau**nu`` still invert correctly, and
         its branch offset formed exactly (``_log_inverse_exact``).
+
+        On a bounded domain the top of the range is clamped: a y at or above
+        ``range_hi``, the rounded q(domain_hi), returns domain_hi exactly,
+        and no result exceeds domain_hi.  Where q' vanishes at domain_hi
+        (the Lambert branch point) the rounded top value stands for every
+        tau within about the square root of its rounding, so a tau up to
+        about 5e-8 below domain_hi whose rounded q equals ``range_hi`` also
+        comes back as domain_hi: the rounded value cannot tell the two apart.
         """
         arr, scalar = _as_array(y)
         hi = self.range_hi

@@ -538,7 +538,9 @@ def model_gauges(model: HeatModel) -> GaugeSystem:
 # -- assembled covariance ------------------------------------------------------
 
 
-def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray, parity=None) -> list[np.ndarray]:
+def covariance_matrix(
+    model: HeatModel, times: np.ndarray, sites: np.ndarray, parity=None
+) -> tuple[list[np.ndarray], object]:
     """One-component covariance over the product grid times x sites, by parity block.
 
     ``parity`` is ``(classes, reflections)`` as ``SampleGrid.parity`` gives
@@ -549,12 +551,24 @@ def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray, pa
     x and the reflected y.  Sites without mirror partners (no ``parity``)
     give one block, the dense covariance.
 
+    Only the lower triangle of a block is written, and two consecutive
+    classes of equal size N share one C-ordered (N + 1) x N array: block c
+    is its rows 1..N, a C-ordered view, and block c + 1 the transpose of
+    its rows 0..N-1, a Fortran-ordered view whose lower triangle is the
+    array's diagonal and upper triangle.  The two triangles are disjoint
+    and together fill the array, so a pair takes half the memory of two
+    N x N blocks.  A class without an equal-size neighbour has an N x N
+    array to itself, zero above the diagonal.  Returns the blocks, in class order, and
+    ``refill(c)``, which writes block c's triangle again from the same
+    rule values without touching its partner's.
+
     Each distinct time pair costs one quadrature rule evaluated against the
     distinct site separations, so a 64 x 64 grid needs 2080 rules rather
     than 8.4 million kernel calls.  All pairs go through the batched rule
     builder at once; a dense block is the scalar kernel's to the bit, and
     all rules form their spatial factor in one reused buffer, so the
-    assembly allocates no large temporaries besides the blocks.
+    assembly allocates no large temporaries besides the blocks and keeps
+    only the rule values (about 1 MB on a 64 x 64 grid) for ``refill``.
     """
     times = np.asarray(times, dtype=float)
     sites = np.atleast_2d(np.asarray(sites, dtype=float))
@@ -568,12 +582,16 @@ def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray, pa
     inverse = inverse.reshape(ns, ns)
     rows, cols = np.triu_indices(nt)
     vals = model._cov_pairs(times[rows], times[cols], np.broadcast_to(uniq, (rows.size, uniq.size)))
-    out = []
-    for c, members in enumerate(classes):
-        k = len(members)
-        (sign0, idx0), *rest = [(sign[c], inverse[np.ix_(members, perm[members])]) for perm, sign in reflections]
-        cov = np.empty((nt * k, nt * k))
-        out.append(cov)
+    terms = [
+        [(sign[c], inverse[np.ix_(members, perm[members])]) for perm, sign in reflections]
+        for c, members in enumerate(classes)
+    ]
+    out = _packed_blocks([nt * len(members) for members in classes])
+
+    def refill(c: int) -> None:
+        cov, k = out[c], len(classes[c])
+        (sign0, idx0), *rest = terms[c]
+        lower = np.tril_indices(k)
         pairs = vals
         for i in range(nt if k else 0):
             # the blocks (i, j) for j >= i, which are the pairs' next nt - i rows
@@ -583,8 +601,26 @@ def covariance_matrix(model: HeatModel, times: np.ndarray, sites: np.ndarray, pa
                 blocks += sign * head[:, idx]
             if rest:
                 blocks *= 1.0 / (1 + len(rest))
-            cov[i * k : (i + 1) * k, i * k :] = blocks.transpose(1, 0, 2).reshape(k, -1)
+            cov[i * k : (i + 1) * k, i * k : (i + 1) * k][lower] = blocks[0][lower]
             cov[(i + 1) * k :, i * k : (i + 1) * k] = blocks[1:].transpose(0, 2, 1).reshape(-1, k)
+
+    for c in range(len(classes)):
+        refill(c)
+    return out, refill
+
+
+def _packed_blocks(sizes: list[int]) -> list[np.ndarray]:
+    """Square views for blocks of the given sizes, each consecutive pair of
+    equal size sharing one (N + 1) x N array (see ``covariance_matrix``)."""
+    out: list[np.ndarray] = []
+    while len(out) < len(sizes):
+        c = len(out)
+        n = sizes[c]
+        if c + 1 < len(sizes) and sizes[c + 1] == n:
+            pair = np.empty((n + 1, n))
+            out += [pair[1:], pair[:-1].T]
+        else:
+            out.append(np.zeros((n, n)))
     return out
 
 

@@ -11,8 +11,12 @@ reflection-parity classes of about n/2^d points each (``SampleGrid.parity``),
 and the grid covariance into one block per class.  Each block has its own
 Cholesky factor, computed in place over the assembled block (LAPACK
 ``dpotrf``), which serves every replicate and component; on a 64 x 64 grid
-two 2048-point blocks take half the memory and half the multiply flops of
-one dense factor, and a quarter of its factorization flops.
+two 2048-point blocks take half the multiply flops of one dense factor,
+and a quarter of its factorization flops.  A block and its factor live in
+one triangle: two classes of equal size share one (N + 1) x N array, the
+first in its lower triangle and the second, transposed, in its upper one
+(``covariance_matrix``), so the two factors of a 64 x 64 grid take 32 MB,
+a quarter of one dense factor.
 Randomness is counter-based (Philox) and keyed by
 (seed, replicate, component), so estimates do not depend on chunking or
 evaluation order, and any single replicate can be reproduced in isolation.
@@ -22,7 +26,7 @@ straight into the layouts of one in-place triangular multiply per class
 class values into field values in place, and the minimum distance to the
 target is taken per replicate over all n points, with consecutive
 replicates stacked into one distance call of at most 4096 field points.
-Each chunk is released before the next is drawn, so a run holds the block
+Each chunk is released before the next is drawn, so a run holds the packed
 factors and one chunk of field values.
 
 ``dpotrf`` and ``dtrmm`` are scipy's own compiled routines, loaded from the
@@ -229,36 +233,42 @@ class SampleGrid:
 def factor_covariance(model: HeatModel, grid: SampleGrid) -> list[np.ndarray]:
     """Cholesky factors of the grid covariance's parity blocks, in class order.
 
-    Each block (``covariance_matrix`` over ``grid.parity()``) is factored in
-    place: LAPACK ``dpotrf`` overwrites the lower triangle with the factor
-    and reads nothing above it, so the assembled blocks are the only
-    covariance-sized arrays held.  When a clean factorization fails, the
-    lower triangle is restored from the untouched upper one and a saved
-    diagonal, the diagonal is lifted by 1e-10 of its largest entry, once
-    more by 1e-9, and then the block is declared numerically singular.  A
-    lift is logged as a warning.  Each factor is C-contiguous and lower
-    triangular; a class without sites has a 0 x 0 one.  ``dpotrf`` is
-    scipy's, loaded by ``_lapack_blas`` without the ``scipy.linalg`` package
-    import.
+    Factor c is the lower triangle of the square view ``factors[c]``; the
+    view's other triangle belongs to the class it shares an array with
+    (see ``covariance_matrix``), or is zero for a class without one.  Each
+    block is factored in place: LAPACK ``dpotrf`` overwrites the block's
+    triangle with the factor and reads nothing outside it, so the packed
+    blocks are the only covariance-sized arrays held.
+    When a clean factorization fails, the triangle is written again from
+    the rule values, its diagonal is lifted by 1e-10 of its largest entry,
+    once more by 1e-9, and then the block is declared numerically
+    singular.  A lift is logged as a warning.  A class without sites has a
+    0 x 0 factor.  ``dpotrf`` is scipy's, loaded by ``_lapack_blas``
+    without the ``scipy.linalg`` package import.
     """
-    blocks = covariance_matrix(model, np.asarray(grid.times), grid.sites, grid.parity())
-    for cov in blocks:
-        _factor_in_place(cov)
+    blocks, refill = covariance_matrix(model, np.asarray(grid.times), grid.sites, grid.parity())
+    for c, block in enumerate(blocks):
+        _factor_in_place(block, lambda: refill(c))
     return blocks
 
 
-def _factor_in_place(cov: np.ndarray) -> None:
+def _lower_operand(block: np.ndarray) -> tuple[np.ndarray, int]:
+    """The block's lower triangle as a Fortran-ordered LAPACK/BLAS operand
+    and the triangle flag that names it: a C-ordered view's transpose, whose
+    upper triangle it is, or a Fortran-ordered view itself."""
+    return (block.T, 0) if block.flags.c_contiguous else (block, 1)
+
+
+def _factor_in_place(block: np.ndarray, refill) -> None:
     dpotrf, _ = _lapack_blas()
-    n = cov.shape[0]
-    diag = np.diag(cov).copy()
-    scale = float(np.max(diag, initial=0.0))
+    a, lower = _lower_operand(block)
+    n = block.shape[0]
+    scale = float(np.max(np.diagonal(block), initial=0.0))
     for rel in (0.0, 1e-10, 1e-9):
         if rel:
-            for i in range(1, n):
-                cov[i, :i] = cov[:i, i]
-            np.fill_diagonal(cov, diag + rel * scale)
-        # cov.T is the column-major view, whose upper triangle is cov's lower
-        info = dpotrf(cov.T, lower=0, overwrite_a=1, clean=0)[1]
+            refill()
+            block[range(n), range(n)] += rel * scale
+        info = dpotrf(a, lower=lower, overwrite_a=1, clean=0)[1]
         if info == 0:
             break
     else:
@@ -273,8 +283,6 @@ def _factor_in_place(cov: np.ndarray) -> None:
             "grid covariance is numerically singular; factored it with a diagonal "
             "jitter of %.0e times the largest variance", rel
         )
-    for i in range(n - 1):
-        cov[i, i + 1 :] = 0.0
 
 
 def sample_fields(
@@ -286,13 +294,14 @@ def sample_fields(
     field at class c's sites after ``grid.unfold``: together the arrays
     cover every grid point once.  The first n normals of the Philox stream
     keyed (seed, r, c) fill the classes' vectors in class order, each class
-    is multiplied by its factor ``factors[c]`` (only the lower triangle is
-    read), and the butterfly of ``grid.unfold`` turns the parts into field
-    values, so any replicate is reproduced by drawing it alone.  Each class
-    keeps one C-ordered buffer with one row per (replicate, component),
-    whose transpose is the column-major operand that ``dtrmm`` overwrites;
-    the results are views of those buffers.  ``dtrmm`` is scipy's, loaded
-    by ``_lapack_blas`` without the ``scipy.linalg`` package import.
+    is multiplied by its factor, the lower triangle of ``factors[c]`` (the
+    other triangle is not read), and the butterfly of ``grid.unfold`` turns
+    the parts into field values, so any replicate is reproduced by drawing
+    it alone.  Each class keeps one C-ordered buffer with one row per
+    (replicate, component), whose transpose is the column-major operand
+    that ``dtrmm`` overwrites; the results are views of those buffers.
+    ``dtrmm`` is scipy's, loaded by ``_lapack_blas`` without the
+    ``scipy.linalg`` package import.
     """
     _, dtrmm = _lapack_blas()
 
@@ -310,7 +319,8 @@ def sample_fields(
             for part in live:
                 gen.standard_normal(out=part[j * components + c])
     for k, factor in enumerate(factors):
-        parts[k] = dtrmm(1.0, factor.T, parts[k].T, lower=0, trans_a=1, overwrite_b=1).T
+        a, lower = _lower_operand(factor)
+        parts[k] = dtrmm(1.0, a, parts[k].T, lower=lower, trans_a=1 - lower, overwrite_b=1).T
     grid.unfold(parts)
     return [p.reshape(len(reps), components, -1).transpose(0, 2, 1) for p in parts]
 

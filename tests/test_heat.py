@@ -168,7 +168,7 @@ def test_covariance_matrix_matches_quadrature_oracle(h, t, ratio, refs):
     # the weight's cusp at r = |t - s| sits far below the r-half segment
     # [|t - s|, min(t, s)], where a rule that halves only in steps of the
     # segment span never reaches it
-    [cov] = covariance_matrix(_model(h, 1, 0.0), np.array([t, t * ratio]), np.array(RULE_RHOS)[:, None])
+    cov = _dense(_model(h, 1, 0.0), np.array([t, t * ratio]), np.array(RULE_RHOS)[:, None])
     np.testing.assert_allclose(cov[0, 3:], refs, rtol=RULE_TOL[h], atol=0.0)
     np.testing.assert_allclose(cov[3:, 0], refs, rtol=RULE_TOL[h], atol=0.0)
 
@@ -342,11 +342,19 @@ def test_kummer_asymptotic_meets_hypergeometric_branch():
 # -- assembled covariance matrices -------------------------------------------------
 
 
+def _dense(model, times, sites):
+    """The one block of ``covariance_matrix`` without parity, which holds the
+    covariance in its lower triangle and zeros above it, made symmetric."""
+    [lower], _ = covariance_matrix(model, times, sites)
+    assert np.array_equal(np.triu(lower, 1), np.zeros_like(lower))
+    return np.tril(lower) + np.tril(lower, -1).T
+
+
 def test_covariance_matrix_is_symmetric_positive_semidefinite():
     m = _model(0.7, 1, 0.0)
     times = np.linspace(0.2, 1.0, 4)
     sites = np.linspace(-0.5, 0.5, 5)[:, None]
-    [cov] = covariance_matrix(m, times, sites)
+    cov = _dense(m, times, sites)
     assert cov.shape == (20, 20)
     assert np.max(np.abs(cov - cov.T)) < 1e-14
     eig = np.linalg.eigvalsh(cov)
@@ -357,7 +365,7 @@ def test_covariance_matrix_blocks_match_pointwise_kernel():
     m = _model(0.75, 2, 0.0)
     times = np.array([0.3, 0.8])
     sites = np.array([[0.0, 0.0], [0.25, -0.4]])
-    [cov] = covariance_matrix(m, times, sites)
+    cov = _dense(m, times, sites)
     for i, t in enumerate(times):
         for j, s in enumerate(times):
             for a, x in enumerate(sites):
@@ -373,7 +381,7 @@ def test_covariance_matrix_blocks_equal_the_scalar_kernel_bit_for_bit(alpha):
     m = _model(0.8, 1, alpha)
     times = np.linspace(0.1, 1.0, 5)
     sites = np.linspace(-1.0, 1.0, 4)[:, None]
-    [cov] = covariance_matrix(m, times, sites)
+    cov = _dense(m, times, sites)
     seps = np.abs(sites - sites.T)
     uniq, inverse = np.unique(np.round(seps, 12), return_inverse=True)
     inverse = inverse.reshape(4, 4)
@@ -461,7 +469,7 @@ def test_covariance_matrix_diagonal_is_the_variance():
     m = _model(0.6, 1, 0.0)
     times = np.array([0.4, 0.9])
     sites = np.zeros((1, 1))
-    [cov] = covariance_matrix(m, times, sites)
+    cov = _dense(m, times, sites)
     assert cov[0, 0] == pytest.approx(m.variance(0.4), rel=1e-12)
     assert cov[1, 1] == pytest.approx(m.variance(0.9), rel=1e-12)
 

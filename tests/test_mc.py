@@ -83,9 +83,21 @@ def _in_grid_order(grid, parts):
 
 
 def _parity_error(grid, factors, dense, mirror_sign=-1.0):
-    """max |S S^T - C| / max var for S = butterfly . blockdiag(factors)."""
-    s = np.hstack([b @ f for b, f in zip(_butterfly(grid, mirror_sign), factors)])
+    """max |S S^T - C| / max var for S = butterfly . blockdiag(factors), each
+    factor the lower triangle of its view."""
+    s = np.hstack([b @ np.tril(f) for b, f in zip(_butterfly(grid, mirror_sign), factors)])
     return np.max(np.abs(s @ s.T - dense)) / np.max(np.diag(dense))
+
+
+def _dense(m, grid):
+    """The grid's covariance without parity, made symmetric from its lower triangle."""
+    [lower], _ = covariance_matrix(m, np.asarray(grid.times), grid.sites)
+    return np.tril(lower) + np.tril(lower, -1).T
+
+
+def _arrays(factors):
+    """The distinct arrays that hold the factors' views."""
+    return list({id(a): a for a in (f if f.base is None else f.base for f in factors)}.values())
 
 
 # -- grids -------------------------------------------------------------------------
@@ -149,8 +161,10 @@ PARITY_GRIDS = [
     (dict(), (1, 1)),  # the odd block is empty
     (dict(hurst=0.8, alpha=0.5, space_dim=2), (2, 5)),
     (dict(hurst=0.9, space_dim=3), (2, 3)),
+    (dict(hurst=0.8, alpha=0.5, space_dim=2), (2, 4)),  # every class pairs
+    (dict(hurst=0.9, space_dim=3), (2, 4)),
 ]
-PARITY_IDS = ["d1-even", "d1-odd", "1x1", "d2-alpha0.5-odd", "d3"]
+PARITY_IDS = ["d1-even", "d1-odd", "1x1", "d2-alpha0.5-odd", "d3", "d2-alpha0.5-even", "d3-even"]
 
 
 @pytest.mark.parametrize("kw, shape", PARITY_GRIDS, ids=PARITY_IDS)
@@ -160,13 +174,25 @@ def test_factor_reproduces_the_covariance(kw, shape, caplog):
     with caplog.at_level(logging.WARNING, logger="anisohit"):
         factors = factor_covariance(m, grid)
     assert caplog.records == []  # a clean grid needs no jitter
-    [dense] = covariance_matrix(m, np.asarray(grid.times), grid.sites)
+    dense = _dense(m, grid)
     assert len(factors) == 2**m.space_dim
     assert sum(f.shape[0] for f in factors) == grid.n_points
     assert _parity_error(grid, factors, dense) <= 1e-8
-    for f in factors:
-        assert np.max(np.triu(f, 1), initial=0.0) == 0.0  # lower triangular
-        assert f.flags.c_contiguous
+    # consecutive classes of equal size share one (N + 1) x N array, the
+    # first as its C-ordered rows 1..N, the second as the Fortran-ordered
+    # transpose of its rows 0..N-1; any other class is alone, zero above
+    # its factor
+    owners = [f if f.base is None else f.base for f in factors]
+    for c, f in enumerate(factors):
+        shared = [k for k, a in enumerate(owners) if a is owners[c]]
+        a, n = owners[c], f.shape[0]
+        if shared == [c]:
+            assert f.flags.c_contiguous and np.max(np.abs(np.triu(f, 1)), initial=0.0) == 0.0
+        else:
+            assert shared in ([c, c + 1], [c - 1, c])
+            assert a.shape == (n + 1, n) and a.flags.c_contiguous
+            view = a[1:] if shared[0] == c else a[:-1].T
+            assert (f.ctypes.data, f.strides, f.shape) == (view.ctypes.data, view.strides, view.shape)
 
 
 @pytest.mark.parametrize("kw, shape", [g for g in PARITY_GRIDS if g[1] != (1, 1)], ids=[i for i in PARITY_IDS if i != "1x1"])
@@ -177,17 +203,40 @@ def test_parity_check_rejects_a_wrong_sign_or_a_dropped_mirror_term(kw, shape):
     grid = SampleGrid.regular(m, *shape)
     factors = factor_covariance(m, grid)
     times = np.asarray(grid.times)
-    [dense] = covariance_matrix(m, times, grid.sites)
+    dense = _dense(m, grid)
     assert _parity_error(grid, factors, dense, mirror_sign=1.0) > 1e-3
     classes, reflections = grid.parity()
-    dropped = covariance_matrix(m, times, grid.sites, (classes, reflections[:1]))
-    factors = [np.linalg.cholesky(b) if b.size else b for b in dropped]
+    dropped, _ = covariance_matrix(m, times, grid.sites, (classes, reflections[:1]))
+    factors = [np.linalg.cholesky(b) if b.size else b for b in dropped]  # reads the lower triangle
     assert _parity_error(grid, factors, dense) > 1e-3
 
 
+@pytest.mark.parametrize("kw, shape", [g for g in PARITY_GRIDS if g[1] in ((3, 4), (2, 4))], ids=["d1-even", "d2-even", "d3-even"])
+def test_a_class_reads_nothing_of_its_partners_triangle(monkeypatch, kw, shape):
+    # with the partner's triangle filled with NaN, each class of an all-paired
+    # grid factors and samples to the same bits, and finite
+    m = _model(**kw)
+    grid = SampleGrid.regular(m, *shape)
+    times, parity = np.asarray(grid.times), grid.parity()
+    want = factor_covariance(m, grid)
+    monkeypatch.setattr(SampleGrid, "unfold", lambda self, parts: None)  # class values, not field values
+    want_parts = sample_fields(grid, want, 2, 7, [0, 5])
+    for c in range(len(want)):
+        blocks, refill = covariance_matrix(m, times, grid.sites, parity)
+        partner = blocks[c ^ 1]
+        assert partner.base is blocks[c].base
+        partner[np.tril_indices(len(partner))] = np.nan
+        anisohit.mc._factor_in_place(blocks[c], lambda: refill(c))
+        assert np.array_equal(np.tril(blocks[c]), np.tril(want[c]))
+        assert np.isfinite(np.tril(blocks[c])).all()
+        parts = sample_fields(grid, blocks, 2, 7, [0, 5])
+        assert np.array_equal(parts[c], want_parts[c])
+        assert np.isfinite(parts[c]).all() and np.isnan(parts[c ^ 1]).all()
+
+
 def test_factor_holds_one_covariance_sized_array():
-    # assembly and factorization share the parity blocks that are
-    # returned; a copy anywhere would double the traced peak
+    # assembly and factorization share the packed arrays that are returned;
+    # a copy anywhere would double the traced peak
     m = _model()
     grid = SampleGrid.regular(m, 32, 32)
     factor_covariance(m, SampleGrid.regular(m, 2, 2))  # loads LAPACK untraced
@@ -197,8 +246,10 @@ def test_factor_holds_one_covariance_sized_array():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert all(f.flags.c_contiguous for f in factors)
-    assert peak <= 1.25 * sum(f.nbytes for f in factors)
+    packed = sum(a.nbytes for a in _arrays(factors))
+    # the two 512-point classes share one 513 x 512 array, against two 512^2 ones
+    assert packed <= 0.51 * sum(f.shape[0] ** 2 * 8 for f in factors)
+    assert peak <= 1.25 * packed
 
 
 def test_min_distances_hold_one_chunk():
@@ -249,15 +300,38 @@ def test_sampled_correlation_matches_the_model():
     assert abs(got - want) <= 4.0 * sd
 
 
-def test_jitter_lifts_a_singular_covariance(monkeypatch, caplog):
+def _pair_with_identity(cov, slot, refills):
+    """A stand-in for ``covariance_matrix``: ``cov`` as the class in ``slot``
+    of one packed pair, the identity as its partner; each refill is logged."""
+    n = len(cov)
+    blocks = anisohit.heat._packed_blocks([n, n])
+
+    def refill(c):
+        refills.append(c)
+        blocks[c][np.tril_indices(n)] = (cov if c == slot else np.eye(n))[np.tril_indices(n)]
+
+    for c in (0, 1):
+        refill(c)
+    refills.clear()
+    return lambda *args: (blocks, refill)
+
+
+SLOTS = pytest.mark.parametrize("slot", [0, 1], ids=["first", "second"])
+
+
+@SLOTS
+def test_jitter_lifts_a_singular_covariance(monkeypatch, caplog, slot):
     # the all-ones matrix is PSD of rank one: the clean factorization fails
     # and the first lift, 1e-10 of the largest variance, succeeds
     ones = np.ones((3, 3))
-    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: [ones.copy(), np.empty((0, 0))])
+    refills = []
+    monkeypatch.setattr(anisohit.mc, "covariance_matrix", _pair_with_identity(ones, slot, refills))
     m = _model()
     with caplog.at_level(logging.WARNING, logger="anisohit"):
-        L, empty = factor_covariance(m, SampleGrid.regular(m, 3, 1))
-    assert empty.shape == (0, 0)
+        factors = factor_covariance(m, SampleGrid.regular(m, 3, 1))
+    L, partner = np.tril(factors[slot]), np.tril(factors[1 - slot])
+    assert refills == [slot]
+    assert np.array_equal(partner, np.eye(3))  # the partner's triangle is untouched
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(ones)
     assert np.max(np.abs(L @ L.T - (ones + 1e-10 * np.eye(3)))) <= 1e-12
@@ -266,10 +340,11 @@ def test_jitter_lifts_a_singular_covariance(monkeypatch, caplog):
     assert "1e-10 times the largest variance" in record.getMessage()
 
 
-def test_jitter_restores_a_triangle_overwritten_up_to_the_last_pivot(monkeypatch):
+@SLOTS
+def test_jitter_restores_a_triangle_overwritten_up_to_the_last_pivot(monkeypatch, slot):
     # a rank-4 Gram matrix pushed just below semidefinite at its last entry:
     # the clean in-place factorization overwrites every column before the
-    # last pivot fails, so the lift must start again from the restored matrix
+    # last pivot fails, so the lift must start again from the refilled matrix
     a = np.random.default_rng(3).standard_normal((5, 4))
     cov = a @ a.T
     scale = np.max(np.diag(cov))
@@ -277,19 +352,25 @@ def test_jitter_restores_a_triangle_overwritten_up_to_the_last_pivot(monkeypatch
     from scipy.linalg.lapack import dpotrf
 
     assert dpotrf(cov, lower=1)[1] == 5
-    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: [cov.copy(), np.empty((0, 0))])
+    refills = []
+    monkeypatch.setattr(anisohit.mc, "covariance_matrix", _pair_with_identity(cov, slot, refills))
     m = _model()
-    L, _ = factor_covariance(m, SampleGrid.regular(m, 5, 1))
-    assert np.max(np.abs(np.triu(L, 1))) == 0.0
+    factors = factor_covariance(m, SampleGrid.regular(m, 5, 1))
+    L, partner = np.tril(factors[slot]), np.tril(factors[1 - slot])
+    assert refills == [slot]
+    assert np.array_equal(partner, np.eye(5))
     assert np.max(np.abs(L @ L.T - (cov + 1e-10 * scale * np.eye(5)))) <= 1e-12
 
 
 def test_indefinite_covariance_raises(monkeypatch):
+    # the clean factorization and both lifts fail: two refills, then the error
     indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    monkeypatch.setattr(anisohit.mc, "covariance_matrix", lambda *args: [indefinite.copy(), np.empty((0, 0))])
+    refills = []
+    monkeypatch.setattr(anisohit.mc, "covariance_matrix", _pair_with_identity(indefinite, 1, refills))
     m = _model()
     with pytest.raises(FactorizationError):
         factor_covariance(m, SampleGrid.regular(m, 3, 1))
+    assert refills == [1, 1]
 
 
 def test_public_scipy_modules_serve_when_the_compiled_files_are_not_found(monkeypatch):
@@ -329,15 +410,22 @@ def _reference_fields(grid, factors, components, seed, reps):
         for c in range(components):
             gen = np.random.Generator(np.random.Philox(key=[seed, r << 32 | c]))
             z[:, j * components + c] = gen.standard_normal(n)
-    s = np.hstack([b @ f for b, f in zip(_butterfly(grid), factors)])
+    s = np.hstack([b @ np.tril(f) for b, f in zip(_butterfly(grid), factors)])
     return np.moveaxis((s @ z).reshape(n, len(reps), components), 0, 1)
 
 
 @pytest.mark.parametrize("components", [1, 4])
 @pytest.mark.parametrize(
     "kw, shape",
-    [(dict(), (3, 4)), (dict(), (1, 1)), (dict(), (3, 5)), (dict(hurst=0.8, alpha=0.5, space_dim=2), (2, 5))],
-    ids=["3x4", "1x1", "3x5", "d2-2x5"],
+    [
+        (dict(), (3, 4)),
+        (dict(), (1, 1)),
+        (dict(), (3, 5)),
+        (dict(hurst=0.8, alpha=0.5, space_dim=2), (2, 5)),
+        (dict(hurst=0.8, alpha=0.5, space_dim=2), (2, 4)),
+        (dict(hurst=0.9, space_dim=3), (2, 4)),
+    ],
+    ids=["3x4", "1x1", "3x5", "d2-2x5", "d2-2x4", "d3-2x4"],
 )
 def test_sample_fields_match_an_independent_reference(components, kw, shape):
     m = _model(**kw)
