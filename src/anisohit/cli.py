@@ -585,13 +585,11 @@ def main(argv=None) -> int:
         rows = run(cfg, seed)
         out_path = out_dir / f"{args.pipeline}.csv"
         emit_csv(rows, out_path)
-    except ConfigurationError as exc:
+    except (ConfigurationError, OSError, MemoryError) as exc:
+        # MemoryError: numpy refuses the arrays a size in the config asks for
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -11,8 +11,11 @@ growth integral, monotonicity and polarity verdicts.
 Everything here is deliberately evaluated in log space where it matters.
 The growth diagnostics walk the gauge argument down to ``2**-400`` of the
 window size, far past where the linear-scale quantities underflow, while
-their product stays of order one.  The lower Lambert branch that inverts
-the log-corrected family is solved the same way, with numpy alone.
+their product stays of order one.  A gauge is inverted in log space only
+(``GaugeSpec._log_inverse``, log y to log tau): the Hausdorff gauge, the
+growth integrals and the monotonicity bisection all read that one inverse.
+For the log-corrected family it goes through the lower Lambert branch,
+solved the same way, with numpy alone.
 """
 
 from __future__ import annotations
@@ -44,27 +47,26 @@ def lambert_w_minus1_log(log_abs_x):
     start value is the branch-point series in p = -sqrt(2 (1 + e*x)) for
     m > -2 and the asymptotic form -L - log L - log(L)/L with L = -log|x|
     beyond.  Accepts scalars or arrays.
+
+    This is the only lower-branch solver; ``GaugeSpec._log_inverse`` calls
+    it for every power-log gauge.  Near the branch point W_{-1} amplifies
+    an error in m by about 1/sqrt(|m|), so a caller that forms log|x| from
+    logs of order one passes on their absolute rounding of about 1e-16.
     """
     arr = np.atleast_1d(np.asarray(log_abs_x, dtype=float))
     if not np.all(np.isfinite(arr) & (arr <= -1.0 + 1e-9)):
         raise ConfigurationError("log-space Lambert argument must be finite and <= -1")
-    w = _lambert_w_minus1(np.minimum(arr + 1.0, 0.0), arr)
-    return float(w[0]) if np.asarray(log_abs_x).ndim == 0 else w
-
-
-def _lambert_w_minus1(m: np.ndarray, log_abs: np.ndarray) -> np.ndarray:
-    """W_{-1} from the branch offset m = 1 + log|x| <= 0, which sets the
-    result near the branch point, and log|x|, which only seeds the
-    asymptotic start value."""
+    m = np.minimum(arr + 1.0, 0.0)
     p = -np.sqrt(-2.0 * np.expm1(m))
     series = p * (1.0 + p * (-1.0 / 3 + p * (11.0 / 72 + p * (-43.0 / 540 + p * (769.0 / 17280 - p * 221.0 / 8505)))))
-    log_l = np.log(-log_abs)
-    u = np.where(m > -2.0, series, 1.0 + log_abs - log_l + log_l / log_abs)
+    log_l = np.log(-arr)
+    u = np.where(m > -2.0, series, 1.0 + arr - log_l + log_l / arr)
     for _ in range(5):
         resid = np.log1p(-u) + u - m
         slope = -u / (1.0 - u)
         u = u - np.where(u < 0.0, resid / np.where(u < 0.0, slope, 1.0), 0.0)
-    return u - 1.0
+    w = u - 1.0
+    return float(w[0]) if np.asarray(log_abs_x).ndim == 0 else w
 
 
 @dataclass(frozen=True)
@@ -137,40 +139,6 @@ class GaugeSpec:
         out = self._value_array(t)
         return _unwrap(out, scalar)
 
-    def inverse(self, y):
-        """The tau in [0, domain_hi] with q(tau) = y.
-
-        For power-log gauges this goes through the lower Lambert branch,
-        with the argument formed in log space so that values of y far below
-        the floating point range of ``tau**nu`` still invert correctly, and
-        its branch offset formed exactly (``_log_inverse_exact``).
-
-        On a bounded domain the top of the range is clamped: a y at or above
-        ``range_hi``, the rounded q(domain_hi), returns domain_hi exactly,
-        and no result exceeds domain_hi.  Where q' vanishes at domain_hi
-        (the Lambert branch point) the rounded top value stands for every
-        tau within about the square root of its rounding, so a tau up to
-        about 5e-8 below domain_hi whose rounded q equals ``range_hi`` also
-        comes back as domain_hi: the rounded value cannot tell the two apart.
-        """
-        arr, scalar = _as_array(y)
-        hi = self.range_hi
-        if np.any(arr < 0.0) or np.any(arr > hi * (1.0 + 1e-9)):
-            raise ConfigurationError("inverse argument outside the gauge range")
-        out = np.zeros_like(arr)
-        pos = arr > 0.0
-        if np.any(pos):
-            if self.family == POWER:
-                out[pos] = np.exp(self._log_inverse(np.log(arr[pos])))
-            else:
-                out[pos] = np.exp(self._log_inverse_exact(arr[pos]))
-        if np.isfinite(self.domain_hi):
-            # q' may vanish at domain_hi (the Lambert branch point), where the
-            # rounded q(domain_hi) fixes tau only to about the square root of
-            # its rounding; a y at or above it inverts to domain_hi itself
-            out = np.where(arr >= hi, self.domain_hi, np.minimum(out, self.domain_hi))
-        return _unwrap(out, scalar)
-
     # -- log-space internals (no domain checks; inputs assumed valid) -------
 
     def _value_array(self, t: np.ndarray) -> np.ndarray:
@@ -204,28 +172,6 @@ class GaugeSpec:
         log_abs = math.log(ratio) - ratio * log_c + np.asarray(log_y, dtype=float) / self.delta
         w = lambert_w_minus1_log(np.minimum(log_abs, -1.0))
         return log_c + w / ratio
-
-    def _log_inverse_exact(self, y: np.ndarray) -> np.ndarray:
-        """log tau of power-log gauge values y, with the branch offset
-        m = 1 + log|x| of the Lambert argument summed in 40-digit decimals.
-
-        Near the branch point (tau near domain_hi when delta >= nu) m is
-        tiny and W_{-1} amplifies its error by about 1/sqrt(|m|).  Summed in
-        doubles from logs of order one, m carries their absolute rounding
-        of about 1e-16, which at tau = (1 - 1e-7) domain_hi doubled the
-        error of tau; in decimals only y's own rounding is left.
-        """
-        from decimal import Decimal, localcontext  # only inverse() needs it
-
-        with localcontext() as ctx:
-            ctx.prec = 40
-            delta = Decimal(self.delta)
-            ratio = Decimal(self.nu) / delta
-            offset = 1 + ratio.ln() - ratio * Decimal(self.log_scale).ln()
-            m = np.array([float(offset + Decimal(v).ln() / delta) for v in y.tolist()])
-        m = np.minimum(m, 0.0)
-        w = _lambert_w_minus1(m, m - 1.0)
-        return math.log(self.log_scale) + w / (self.nu / self.delta)
 
     def _check_domain(self, t: np.ndarray) -> None:
         if not np.all(t >= 0.0):

@@ -81,10 +81,10 @@ class HeatModel:
             raise ConfigurationError("need 0 < space_dim - alpha < 4 * hurst")
         if self.alpha > 0.0 and self.space_dim > 3:
             raise ConfigurationError("space_dim > 3 with alpha > 0 is not supported")
-        if not 0.0 < self.t0 < self.t1:
-            raise ConfigurationError("need 0 < t0 < t1")
-        if not self.box_radius > 0.0:
-            raise ConfigurationError("box_radius must be positive")
+        if not 0.0 < self.t0 < self.t1 < math.inf:
+            raise ConfigurationError("need 0 < t0 < t1 with t1 finite")
+        if not 0.0 < self.box_radius < math.inf:
+            raise ConfigurationError("box_radius must be positive and finite")
 
     # -- derived exponents ---------------------------------------------------
 

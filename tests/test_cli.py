@@ -194,6 +194,10 @@ def test_blocked_output_directory_exits_2(tmp_path):
 
 
 _HIT_MC_2D = "hurst = 0.75\ncomponents = 2\nn_times = 4\nn_sites = 4\nn_samples = 200\n"
+_HUGE = "1000000000000000"
+# a window so wide that Python's float power overflows: in the rule's tail
+# moment below H = 0.75, in the variance above it
+_OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
 
 
 @pytest.mark.parametrize(
@@ -226,13 +230,24 @@ _HIT_MC_2D = "hurst = 0.75\ncomponents = 2\nn_times = 4\nn_sites = 4\nn_samples 
         # these cell counts at all, so an unbounded solve fails at once
         ("capacity", "target = interval\nriesz_beta = 0.3\nn_cells = 1000000000000\n"),
         ("capacity", "target = interval\nriesz_beta = 0.3\nhomogeneity_scale = 10000000000\n"),
+        # sizes whose arrays numpy refuses: 10^15 doubles pass the 47-bit
+        # address space, so no overcommit policy can grant them
+        ("hit-mc", f"hurst = 0.75\ntarget = ball\ntarget_center = 0\ntarget_radius = 0.4\nn_samples = {_HUGE}\n"),
+        ("small-ball", f"hurst = 0.75\nn_times = 4\nn_sites = 4\nn_samples = {_HUGE}\n"),
+        ("polarity", f"hurst = 0.75\nn_samples = {_HUGE}\n"),
+        ("metric-equivalence", f"hurst = 0.75\nn_pairs = {_HUGE}\n"),
+        ("gauge-check", f"q1_nu = 0.5\nq2_nu = 0.5\nstate_dim = 5\ndiam_cap = 1.0\ngrid_size = {_HUGE}\n"),
+        ("variance-scaling", "hurst = 0.75\nt1 = inf\n"),
+        ("variance-scaling", "hurst = 0.75\nbox_radius = inf\n"),
     ],
     ids=[
         "beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative",
         "small-ball-eps-nan", "ball-center-nan", "points-nan", "points-bad-token", "points-ragged",
         "ball-radius-inf", "interval-hi-inf", "interval-lo-inf", "points-empty", "n-pairs-0", "n-pairs-1",
         "t-ref-negative", "factor-negative", "factor-0", "homogeneity-scale-0", "homogeneity-scale-negative",
-        "expect-factor-below-1", "n-cells-huge", "homogeneity-cells-huge",
+        "expect-factor-below-1", "n-cells-huge", "homogeneity-cells-huge", "hit-mc-samples-huge",
+        "small-ball-samples-huge", "polarity-samples-huge", "n-pairs-huge", "grid-size-huge", "t1-inf",
+        "box-radius-inf",
     ],
 )
 def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
@@ -241,13 +256,38 @@ def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
     assert not (tmp_path / f"{pipeline}.csv").exists()
 
 
-def test_insufficient_resolution_exits_3(tmp_path):
-    cfg = _write(
-        tmp_path,
-        "hurst = 0.75\nn_times = 8\nn_sites = 8\neps = 200, 100, 50\nn_samples = 200\n",
-    )
-    assert main(["small-ball", "--config", cfg, "--out", str(tmp_path)]) == 3
-    assert not (tmp_path / "small-ball.csv").exists()
+@pytest.mark.parametrize(
+    "pipeline, text",
+    [
+        ("small-ball", "hurst = 0.75\nn_times = 8\nn_sites = 8\neps = 200, 100, 50\nn_samples = 200\n"),
+        ("metric-equivalence", "hurst = 0.7\n" + _OVERFLOW),
+        ("metric-equivalence", "hurst = 0.8\n" + _OVERFLOW),
+    ],
+    ids=["saturated-small-ball", "tail-moment-overflow", "variance-overflow"],
+)
+def test_insufficient_resolution_exits_3(tmp_path, pipeline, text):
+    cfg = _write(tmp_path, text)
+    assert main([pipeline, "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert not (tmp_path / f"{pipeline}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "pipeline, text, code, prefix",
+    [
+        ("gauge-check", f"q1_nu = 0.5\nq2_nu = 0.5\nstate_dim = 5\ndiam_cap = 1.0\ngrid_size = {_HUGE}\n", 2, "error: "),
+        ("metric-equivalence", "hurst = 0.8\n" + _OVERFLOW, 3, "numerical failure: "),
+    ],
+    ids=["memory", "overflow"],
+)
+def test_refused_run_ends_in_one_stderr_line(tmp_path, pipeline, text, code, prefix):
+    # the real command's exit code and stderr, which in-process calls of
+    # main do not see: one line, no traceback
+    proc = _python("-m", "anisohit.cli", pipeline, "--config", _write(tmp_path, text), "--out", str(tmp_path))
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
+    assert not (tmp_path / f"{pipeline}.csv").exists()
 
 
 def test_unknown_pipeline_is_a_usage_error(tmp_path):
@@ -314,10 +354,14 @@ def test_capacity_pipeline_smoke(tmp_path):
     assert "fw-gap" in text and "capacity," in text
 
 
-def _fresh_interpreter(code):
+def _python(*args):
     src = str(Path(anisohit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def _fresh_interpreter(code):
+    return _python("-c", "import sys\n" + code)
 
 
 def _assert_unloaded(module):

@@ -19,7 +19,6 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "kernel_from_gauge": "direction 4, the hitting-bounds pipeline, takes capacities under it",
     "GaugeSystem.hausdorff_gauge": "direction 4: the gauge kernel evaluates it",
-    "GaugeSpec.inverse": "Fix first 1 mends its top-of-range clamp",
     "HeatModel.metric": "Fix first 2: perfbench/spans.py wraps it by name",
 }
 
