@@ -424,6 +424,8 @@ def _run_hausdorff(cfg: ConfigReader, seed: int) -> list[ReportRow]:
 
     target = _target_from(cfg)
     gamma = cfg.float("gauge_gamma", _REQUIRED)
+    if not math.isfinite(gamma):
+        raise ConfigurationError(f"config key 'gauge_gamma' must be finite, got {gamma!r}")
     eps = cfg.floats("eps", _REQUIRED)
     ref = cfg.float("expect_value", None)
     factor = cfg.float("expect_factor", 2.0)
@@ -522,6 +524,8 @@ def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
             raise ValueError
     except ValueError:
         raise ConfigurationError(f"grids must look like 8x8,16x16, got {shapes_raw!r}") from None
+    if len(shapes) < 2:  # one frequency is a trend that cannot fail
+        raise ConfigurationError(f"polarity needs at least two grids for a trend, got {shapes_raw!r}")
 
     system = model_gauges(model)
     mono = check_monotonicity(system)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -50,6 +50,25 @@ _GAUSS_ORDER = 12  # points per panel of the covariance rule
 _PANELS_PER_LEVEL = 10  # about the most panels a rule has per level of its depth
 _RULE_CHUNK_NODES = 2**14  # rule nodes built in one array pass
 _T_REF = 0.5  # time at which the slope fits read the metric
+
+
+def _window_overflow(method):
+    """Raise an overflow in a ``HeatModel`` method, numpy's or a Python float
+    power's, as one ``NumericalError`` that names the largest time of the
+    method's leading time arguments and the model's window."""
+
+    @wraps(method)
+    def guarded(self, *args, **kwargs):
+        try:
+            with np.errstate(over="raise"):
+                return method(self, *args, **kwargs)
+        except (FloatingPointError, OverflowError):
+            top = max(np.max(times, initial=0.0) for times in args[:2])
+            raise NumericalError(
+                f"the covariance overflows at times up to {top:g}; the model window is [{self.t0:g}, {self.t1:g}]"
+            ) from None
+
+    return guarded
 
 
 @dataclass(frozen=True)
@@ -193,6 +212,7 @@ class HeatModel:
 
     # -- covariance ----------------------------------------------------------
 
+    @_window_overflow
     def variance(self, t):
         """Pointwise variance of one component at time t (0 for t <= 0).
 
@@ -411,6 +431,7 @@ class HeatModel:
         out[hot] = flat - cov_hot if deficit else cov_hot
         return out
 
+    @_window_overflow
     def _cov_pairs(self, t: np.ndarray, s: np.ndarray, rhos: np.ndarray, *, deficit: bool = False) -> np.ndarray:
         """Covariance of one component at time pairs (t[i], s[i]) against rows rhos[i].
 
@@ -538,18 +559,16 @@ def model_gauges(model: HeatModel) -> GaugeSystem:
 # -- assembled covariance ------------------------------------------------------
 
 
-def covariance_matrix(
-    model: HeatModel, times: np.ndarray, sites: np.ndarray, parity=None
-) -> tuple[list[np.ndarray], object]:
-    """One-component covariance over the product grid times x sites, by parity block.
+def covariance_matrix(model: HeatModel, times: np.ndarray, parity) -> tuple[list[np.ndarray], object]:
+    """One-component covariance over a grid's times x sites, by parity block.
 
-    ``parity`` is ``(classes, reflections)`` as ``SampleGrid.parity`` gives
-    it: the site indices of each class, and for each reflection of the
-    sites a permutation of them with a sign per class.  Block c is the
-    covariance of class c, rows time-major over its sites; its entry for
-    sites x and y is the signed mean over the reflections of the entry for
-    x and the reflected y.  Sites without mirror partners (no ``parity``)
-    give one block, the dense covariance.
+    ``parity`` is ``(separations, tables)`` as ``SampleGrid.parity`` gives
+    it: the grid's distinct site separations, and for each class one
+    (sign, table) per reflection of the sites, the table indexing the
+    separations between the class's sites and their reflected images.
+    Block c is the covariance of class c, rows time-major over its sites;
+    its entry for sites x and y is the signed mean over the reflections of
+    the covariance at the separation of x and the reflected y.
 
     Only the lower triangle of a block is written, and two consecutive
     classes of equal size N share one C-ordered (N + 1) x N array: block c
@@ -565,32 +584,22 @@ def covariance_matrix(
     Each distinct time pair costs one quadrature rule evaluated against the
     distinct site separations, so a 64 x 64 grid needs 2080 rules rather
     than 8.4 million kernel calls.  All pairs go through the batched rule
-    builder at once; a dense block is the scalar kernel's to the bit, and
+    builder at once; each rule value is the scalar kernel's to the bit, and
     all rules form their spatial factor in one reused buffer, so the
     assembly allocates no large temporaries besides the blocks and keeps
     only the rule values (about 1 MB on a 64 x 64 grid) for ``refill``.
     """
     times = np.asarray(times, dtype=float)
-    sites = np.atleast_2d(np.asarray(sites, dtype=float))
-    nt, ns = len(times), len(sites)
-    if parity is None:
-        parity = [np.arange(ns)], [(np.arange(ns), np.ones(1))]
-    classes, reflections = parity
-    diffs = sites[:, None, :] - sites[None, :, :]
-    seps = np.sqrt(np.sum(diffs * diffs, axis=2))
-    uniq, inverse = np.unique(np.round(seps, 12), return_inverse=True)
-    inverse = inverse.reshape(ns, ns)
+    separations, tables = parity
+    nt = len(times)
     rows, cols = np.triu_indices(nt)
-    vals = model._cov_pairs(times[rows], times[cols], np.broadcast_to(uniq, (rows.size, uniq.size)))
-    terms = [
-        [(sign[c], inverse[np.ix_(members, perm[members])]) for perm, sign in reflections]
-        for c, members in enumerate(classes)
-    ]
-    out = _packed_blocks([nt * len(members) for members in classes])
+    vals = model._cov_pairs(times[rows], times[cols], np.broadcast_to(separations, (rows.size, separations.size)))
+    sizes = [len(terms[0][1]) for terms in tables]
+    out = _packed_blocks([nt * k for k in sizes])
 
     def refill(c: int) -> None:
-        cov, k = out[c], len(classes[c])
-        (sign0, idx0), *rest = terms[c]
+        cov, k = out[c], sizes[c]
+        (sign0, idx0), *rest = tables[c]
         lower = np.tril_indices(k)
         pairs = vals
         for i in range(nt if k else 0):
@@ -604,7 +613,7 @@ def covariance_matrix(
             cov[i * k : (i + 1) * k, i * k : (i + 1) * k][lower] = blocks[0][lower]
             cov[(i + 1) * k :, i * k : (i + 1) * k] = blocks[1:].transpose(0, 2, 1).reshape(-1, k)
 
-    for c in range(len(classes)):
+    for c in range(len(tables)):
         refill(c)
     return out, refill
 

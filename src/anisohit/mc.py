@@ -7,16 +7,17 @@ The field restricted to such a grid is a Gaussian vector with the model's
 covariance matrix.  That covariance depends on space only through |x - y|,
 so it is unchanged when a spatial axis is reflected, and the site axis is
 its own mirror image: the vector splits exactly into 2^d independent
-reflection-parity classes of about n/2^d points each (``SampleGrid.parity``),
-and the grid covariance into one block per class.  Each block has its own
-Cholesky factor, computed in place over the assembled block (LAPACK
-``dpotrf``), which serves every replicate and component; on a 64 x 64 grid
-two 2048-point blocks take half the multiply flops of one dense factor,
-and a quarter of its factorization flops.  A block and its factor live in
-one triangle: two classes of equal size share one (N + 1) x N array, the
-first in its lower triangle and the second, transposed, in its upper one
-(``covariance_matrix``), so the two factors of a 64 x 64 grid take 32 MB,
-a quarter of one dense factor.
+reflection-parity classes of about n/2^d points each, and the grid
+covariance into one block per class, read through index tables of
+whole-step offsets over the class's sites (``SampleGrid.parity``).  Each
+block has its own Cholesky factor, computed in place over the assembled
+block (LAPACK ``dpotrf``), which serves every replicate and component; on a
+64 x 64 grid two 2048-point blocks take half the multiply flops of one dense
+factor, and a quarter of its factorization flops.  A block and its factor
+live in one triangle: two classes of equal size share one (N + 1) x N array,
+the first in its lower triangle and the second, transposed, in its upper one
+(``covariance_matrix``), so the two factors of a 64 x 64 grid take 32 MB, a
+quarter of one dense factor.
 Randomness is counter-based (Philox) and keyed by
 (seed, replicate, component), so estimates do not depend on chunking or
 evaluation order, and any single replicate can be reproduced in isolation.
@@ -38,10 +39,12 @@ package: the package import costs about 0.25 s of every run (it pulls in
 
 Hitting is decided against a target set's distance function: a replicate
 hits when some grid point's field vector comes within the inflation radius
-of the set.  Raw (radius 0) and mesh-inflated frequencies bracket the
-continuum hitting probability in the intended reading; the radius is always
-the mesh radius, a sup-modulus heuristic of three model-gauge increments
-times the usual sqrt(2 log n) factor.
+of the set.  The raw (radius 0) and mesh-inflated frequencies count the
+same replicates, so raw <= inflated (the ``hit-bracket`` row) holds by
+construction; it does not show that they bracket the continuum probability.
+The radius is always the mesh radius, a sup-modulus heuristic of three
+model-gauge increments times the usual sqrt(2 log n) factor, which is 2 to
+26 times the field's standard deviation on the grids measured so far.
 """
 
 from __future__ import annotations
@@ -148,11 +151,6 @@ class SampleGrid:
     def n_points(self) -> int:
         return len(self.times) * len(self.site_axis) ** self.space_dim
 
-    @property
-    def sites(self) -> np.ndarray:
-        mesh = np.meshgrid(*[np.asarray(self.site_axis)] * self.space_dim, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
-
     def mesh_widths(self) -> tuple[float, float]:
         """Largest time spacing and largest spatial cell diagonal."""
         dt = max(np.diff(self.times)) if len(self.times) > 1 else 0.0
@@ -179,29 +177,39 @@ class SampleGrid:
         n = len(self.site_axis)
         return np.arange(n // 2 + odd * (n % 2), n)
 
-    def parity(self) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]]]:
-        """The parity classes' sites and the grid's axis reflections.
+    def parity(self) -> tuple[np.ndarray, list[list[tuple[float, np.ndarray]]]]:
+        """The grid's distinct site separations and each class's index tables.
 
-        Returns the indices into ``sites`` of each class, in class order, a
-        product of half axes with the first axis slowest; and for each
-        reflection eta (a flag per axis, 1 where the axis is reflected, in
-        the same order) the permutation of ``sites`` it induces and its sign
-        in each class, -1 when eta reflects an odd number of the class's odd
-        axes.  Class sigma's covariance between sites x and y is the signed
-        mean over eta of cov(x, eta y).
+        Along an axis, sites i and j lie i - j steps apart and i + j - (n - 1)
+        steps from each other's mirror image, so |x - eta y|^2 is a whole
+        number S of squared steps for every reflection eta (a flag per axis,
+        1 where the axis is reflected, in class order).  Returns the
+        separations step * sqrt(S) over the grid's distinct S, increasing;
+        and for each class, in class order, one (sign, table) per eta.  The
+        table indexes the separation |x - eta y| for the class's sites x
+        (rows) and y (columns), a product of half axes with the first axis
+        slowest; the sign is -1 when eta reflects an odd number of the
+        class's odd axes.  Class sigma's covariance between sites x and y
+        is the signed mean over eta of cov(x, eta y).
         """
-        n, d = len(self.site_axis), self.space_dim
-        index = np.arange(n**d).reshape((n,) * d)
-        classes = self._classes()
-        sites = [index[np.ix_(*(self._half_axis(odd) for odd in sigma))].ravel() for sigma in classes]
-        reflections = [
-            (
-                index[tuple(slice(None, None, -1 if flip else 1) for flip in eta)].ravel(),
-                np.array([(-1.0) ** sum(f * o for f, o in zip(eta, sigma)) for sigma in classes]),
-            )
-            for eta in classes
-        ]
-        return sites, reflections
+        n = len(self.site_axis)
+        sums = np.sort(sum(np.ix_(*[np.arange(n) ** 2] * self.space_dim)), axis=None)
+        whole = sums[np.diff(sums, prepend=-1) > 0]  # distinct; np.unique would load numpy.ma
+        step = (self.site_axis[-1] - self.site_axis[0]) / max(n - 1, 1)
+        tables = []
+        for sigma in self._classes():
+            terms = []
+            for eta in self._classes():
+                squares = np.zeros((1, 1), dtype=int)
+                for odd, flip in zip(sigma, eta):  # axis by axis, the first slowest
+                    a = self._half_axis(odd)
+                    steps = a[:, None] + a - (n - 1) if flip else a[:, None] - a
+                    size = len(squares) * len(a)
+                    squares = (squares[:, None, :, None] + steps[None, :, None, :] ** 2).reshape(size, size)
+                table = np.searchsorted(whole, squares).astype(np.min_scalar_type(len(whole)))  # 2 bytes, not 8
+                terms.append(((-1.0) ** sum(f * o for f, o in zip(eta, sigma)), table))
+            tables.append(terms)
+        return step * np.sqrt(whole), tables
 
     def unfold(self, parts: list[np.ndarray]) -> None:
         """Turn rows of parity-class values into field values, in place.
@@ -246,7 +254,7 @@ def factor_covariance(model: HeatModel, grid: SampleGrid) -> list[np.ndarray]:
     0 x 0 factor.  ``dpotrf`` is scipy's, loaded by ``_lapack_blas``
     without the ``scipy.linalg`` package import.
     """
-    blocks, refill = covariance_matrix(model, np.asarray(grid.times), grid.sites, grid.parity())
+    blocks, refill = covariance_matrix(model, np.asarray(grid.times), grid.parity())
     for c, block in enumerate(blocks):
         _factor_in_place(block, lambda: refill(c))
     return blocks
@@ -465,8 +473,8 @@ def small_ball_slope(
     if n_samples < 100:
         raise ConfigurationError("need n_samples >= 100 for a meaningful interval")
     eps = np.asarray([float(e) for e in eps_ladder])
-    if len(eps) < 3 or not np.all(eps > 0) or not np.all(np.diff(eps) < 0):
-        raise ConfigurationError("eps_ladder must be >= 3 strictly decreasing radii")
+    if len(eps) < 3 or not np.all((eps > 0) & (eps < np.inf)) or not np.all(np.diff(eps) < 0):
+        raise ConfigurationError("eps_ladder must be >= 3 positive, finite, strictly decreasing radii")
     z = np.asarray(center, dtype=float).reshape(1, -1)
     if z.shape[1] != model.components:
         raise ConfigurationError("center must have one coordinate per field component")

@@ -552,10 +552,10 @@ def hausdorff_upper(
     a valid upper bound.
     """
     ladder = [float(e) for e in eps_ladder]
-    if not ladder or not all(e > 0.0 for e in ladder) or not all(
+    if not ladder or not all(0.0 < e < math.inf for e in ladder) or not all(
         b < a for a, b in zip(ladder, ladder[1:])
     ):
-        raise ConfigurationError("eps_ladder must be positive and strictly decreasing")
+        raise ConfigurationError("eps_ladder must be positive, finite and strictly decreasing")
     root_dim = math.sqrt(target.dim)
     out = []
     for eps in ladder:

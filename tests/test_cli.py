@@ -195,8 +195,8 @@ def test_blocked_output_directory_exits_2(tmp_path):
 
 _HIT_MC_2D = "hurst = 0.75\ncomponents = 2\nn_times = 4\nn_sites = 4\nn_samples = 200\n"
 _HUGE = "1000000000000000"
-# a window so wide that Python's float power overflows: in the rule's tail
-# moment below H = 0.75, in the variance above it
+# a window so wide that the covariance overflows: in the rule builder's
+# arrays below H = 0.75, in the variance's float power above it
 _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
 
 
@@ -239,6 +239,12 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         ("gauge-check", f"q1_nu = 0.5\nq2_nu = 0.5\nstate_dim = 5\ndiam_cap = 1.0\ngrid_size = {_HUGE}\n"),
         ("variance-scaling", "hurst = 0.75\nt1 = inf\n"),
         ("variance-scaling", "hurst = 0.75\nbox_radius = inf\n"),
+        ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = inf, 0.5\n"),
+        ("hausdorff", "target = cantor\ngauge_gamma = inf\neps = 0.1, 0.01\n"),
+        ("hausdorff", "target = cantor\ngauge_gamma = nan\neps = 0.1, 0.01\n"),
+        ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\neps = inf, 1, 0.5\nn_samples = 200\n"),
+        # one frequency is a trend that cannot fail
+        ("polarity", "hurst = 0.9\ncomponents = 4\ngrids = 8x8\nn_samples = 200\n"),
     ],
     ids=[
         "beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative",
@@ -247,7 +253,8 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         "t-ref-negative", "factor-negative", "factor-0", "homogeneity-scale-0", "homogeneity-scale-negative",
         "expect-factor-below-1", "n-cells-huge", "homogeneity-cells-huge", "hit-mc-samples-huge",
         "small-ball-samples-huge", "polarity-samples-huge", "n-pairs-huge", "grid-size-huge", "t1-inf",
-        "box-radius-inf",
+        "box-radius-inf", "hausdorff-eps-inf", "gauge-gamma-inf", "gauge-gamma-nan", "small-ball-eps-inf",
+        "polarity-one-grid",
     ],
 )
 def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
@@ -262,22 +269,29 @@ def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
         ("small-ball", "hurst = 0.75\nn_times = 8\nn_sites = 8\neps = 200, 100, 50\nn_samples = 200\n"),
         ("metric-equivalence", "hurst = 0.7\n" + _OVERFLOW),
         ("metric-equivalence", "hurst = 0.8\n" + _OVERFLOW),
+        # t_ref is not bound to the window; the rule's t + s overflows
+        ("variance-scaling", "hurst = 0.7\nt_ref = 1e308\n"),
     ],
-    ids=["saturated-small-ball", "tail-moment-overflow", "variance-overflow"],
+    ids=["saturated-small-ball", "tail-moment-overflow", "variance-overflow", "variance-scaling-overflow"],
 )
-def test_insufficient_resolution_exits_3(tmp_path, pipeline, text):
+def test_insufficient_resolution_exits_3(tmp_path, capsys, pipeline, text):
     cfg = _write(tmp_path, text)
     assert main([pipeline, "--config", cfg, "--out", str(tmp_path)]) == 3
     assert not (tmp_path / f"{pipeline}.csv").exists()
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("numerical failure: ")
+    if "t1 = 1e308" in text:
+        assert "the model window is [0.1, 1e+308]" in line
 
 
 @pytest.mark.parametrize(
     "pipeline, text, code, prefix",
     [
         ("gauge-check", f"q1_nu = 0.5\nq2_nu = 0.5\nstate_dim = 5\ndiam_cap = 1.0\ngrid_size = {_HUGE}\n", 2, "error: "),
+        ("metric-equivalence", "hurst = 0.7\n" + _OVERFLOW, 3, "numerical failure: "),
         ("metric-equivalence", "hurst = 0.8\n" + _OVERFLOW, 3, "numerical failure: "),
     ],
-    ids=["memory", "overflow"],
+    ids=["memory", "rule-overflow", "overflow"],
 )
 def test_refused_run_ends_in_one_stderr_line(tmp_path, pipeline, text, code, prefix):
     # the real command's exit code and stderr, which in-process calls of
@@ -387,6 +401,7 @@ def test_hit_mc_run_leaves_scipy_linalg_unloaded(tmp_path):
         "from anisohit.cli import main\n"
         f"assert main(['hit-mc', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
         + _assert_unloaded("scipy.linalg")
+        + _assert_unloaded("numpy.ma")  # which np.unique's first plain call imports
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "hit-mc.csv").is_file()

@@ -1,5 +1,6 @@
 """Covariance model: variance scaling, frozen oracles, metric structure."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from anisohit.heat import (
     spatial_slope,
     temporal_slope,
 )
+from anisohit.mc import SampleGrid
 
 # Oracle values frozen from two independent computations: the variance
 # constant kappa from its hypergeometric closed form evaluated with mpmath
@@ -167,10 +169,13 @@ def test_covariance_matrix_matches_quadrature_oracle(h, t, ratio, refs):
     # the public matrix path over every RULE_ORACLE pair; at |t - s| = 1e-5 t
     # the weight's cusp at r = |t - s| sits far below the r-half segment
     # [|t - s|, min(t, s)], where a rule that halves only in steps of the
-    # segment span never reaches it
-    cov = _dense(_model(h, 1, 0.0), np.array([t, t * ratio]), np.array(RULE_RHOS)[:, None])
-    np.testing.assert_allclose(cov[0, 3:], refs, rtol=RULE_TOL[h], atol=0.0)
+    # segment span never reaches it.  One class of three sites, the first
+    # RULE_RHOS from each; the other entries only fill the table
+    table = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+    parity = (np.array(RULE_RHOS), [[(1.0, table)]])
+    [cov], _ = covariance_matrix(_model(h, 1, 0.0), np.array([t, t * ratio]), parity)
     np.testing.assert_allclose(cov[3:, 0], refs, rtol=RULE_TOL[h], atol=0.0)
+    np.testing.assert_allclose(cov[3, :3], refs, rtol=RULE_TOL[h], atol=0.0)
 
 
 def test_rule_depth_set_for_a_smoother_cusp_misses_the_oracle():
@@ -342,54 +347,71 @@ def test_kummer_asymptotic_meets_hypergeometric_branch():
 # -- assembled covariance matrices -------------------------------------------------
 
 
-def _dense(model, times, sites):
-    """The one block of ``covariance_matrix`` without parity, which holds the
-    covariance in its lower triangle and zeros above it, made symmetric."""
-    [lower], _ = covariance_matrix(model, times, sites)
-    assert np.array_equal(np.triu(lower, 1), np.zeros_like(lower))
-    return np.tril(lower) + np.tril(lower, -1).T
+def _blocks(model, grid):
+    """The parity blocks of ``covariance_matrix`` on the grid, each made
+    symmetric from its lower triangle."""
+    blocks, _ = covariance_matrix(model, np.asarray(grid.times), grid.parity())
+    return [np.tril(b) + np.tril(b, -1).T for b in blocks]
 
 
 def test_covariance_matrix_is_symmetric_positive_semidefinite():
-    m = _model(0.7, 1, 0.0)
-    times = np.linspace(0.2, 1.0, 4)
-    sites = np.linspace(-0.5, 0.5, 5)[:, None]
-    cov = _dense(m, times, sites)
-    assert cov.shape == (20, 20)
-    assert np.max(np.abs(cov - cov.T)) < 1e-14
-    eig = np.linalg.eigvalsh(cov)
-    assert eig.min() > -1e-12 * eig.max()
+    m = HeatModel(hurst=0.7, t0=0.2, t1=1.0, box_radius=0.5)
+    grid = SampleGrid.regular(m, 4, 5)
+    # every index table is symmetric, so a block's lower triangle holds it
+    for terms in grid.parity()[1]:
+        assert all(np.array_equal(idx, idx.T) for _, idx in terms)
+    blocks = _blocks(m, grid)
+    assert [len(b) for b in blocks] == [12, 8]  # sites x >= 0 and x > 0, four times each
+    for cov in blocks:
+        eig = np.linalg.eigvalsh(cov)
+        assert eig.min() > -1e-12 * eig.max()
 
 
 def test_covariance_matrix_blocks_match_pointwise_kernel():
-    m = _model(0.75, 2, 0.0)
-    times = np.array([0.3, 0.8])
-    sites = np.array([[0.0, 0.0], [0.25, -0.4]])
-    cov = _dense(m, times, sites)
-    for i, t in enumerate(times):
-        for j, s in enumerate(times):
-            for a, x in enumerate(sites):
-                for b, y in enumerate(sites):
-                    ref = m._cov_batch(t, s, separations(x[None, :], y[None, :]))[0]
-                    assert cov[i * 2 + a, j * 2 + b] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+    # each entry is its definition: the signed mean over the reflections eta
+    # of the scalar kernel at the coordinate separation |x - eta y|
+    m = HeatModel(hurst=0.75, space_dim=2, t0=0.3, t1=0.8, box_radius=0.4)
+    grid = SampleGrid.regular(m, 2, 3)
+    axis = np.asarray(grid.site_axis)
+    blocks = _blocks(m, grid)
+    classes = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    scale = m.variance(m.t1)
+    for cov, sigma in zip(blocks, classes):
+        halves = [axis[axis > 0.0] if odd else axis[axis >= 0.0] for odd in sigma]
+        sites = [np.array(x) for x in itertools.product(*halves)]
+        k = len(sites)
+        for i, t in enumerate(grid.times):
+            for j, s in enumerate(grid.times):
+                for a, x in enumerate(sites):
+                    for b, y in enumerate(sites):
+                        ref = 0.0
+                        for eta in classes:
+                            flip = np.where(eta, -1.0, 1.0)
+                            sign = (-1.0) ** sum(f * o for f, o in zip(eta, sigma))
+                            ref += sign * m._cov_batch(t, s, separations(x[None, :], (flip * y)[None, :]))[0] / 4
+                        assert cov[i * k + a, j * k + b] == pytest.approx(ref, rel=1e-12, abs=1e-13 * scale)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_covariance_matrix_blocks_equal_the_scalar_kernel_bit_for_bit(alpha):
     # the matrix reuses one buffer across rules; every block must still be
-    # exactly what a fresh-buffer call of the same kernel returns
+    # exactly the signed mean of what fresh-buffer calls of the same kernel return
     m = _model(0.8, 1, alpha)
-    times = np.linspace(0.1, 1.0, 5)
-    sites = np.linspace(-1.0, 1.0, 4)[:, None]
-    cov = _dense(m, times, sites)
-    seps = np.abs(sites - sites.T)
-    uniq, inverse = np.unique(np.round(seps, 12), return_inverse=True)
-    inverse = inverse.reshape(4, 4)
-    for i in range(5):
-        for j in range(i, 5):
-            block = m._cov_batch(times[i], times[j], uniq)[inverse]
-            assert np.array_equal(cov[4 * i : 4 * i + 4, 4 * j : 4 * j + 4], block)
-            assert np.array_equal(cov[4 * j : 4 * j + 4, 4 * i : 4 * i + 4], block.T)
+    grid = SampleGrid.regular(m, 5, 4)
+    times = np.asarray(grid.times)
+    seps, tables = grid.parity()
+    blocks, _ = covariance_matrix(m, times, (seps, tables))
+    for cov, terms in zip(blocks, tables):
+        k = len(terms[0][1])
+        lower = np.tril_indices(k)
+        for i in range(5):
+            for j in range(i, 5):
+                vals = m._cov_batch(times[i], times[j], seps)
+                block = sum(sign * vals[idx] for sign, idx in terms) / len(terms)
+                if i == j:
+                    assert np.array_equal(cov[k * i : k * i + k, k * i : k * i + k][lower], block[lower])
+                else:
+                    assert np.array_equal(cov[k * j : k * j + k, k * i : k * i + k], block.T)
 
 
 # time pairs that take every branch of the rule builder: equal times, the
@@ -466,10 +488,9 @@ def test_clean_metric_batch_logs_nothing(caplog):
 
 
 def test_covariance_matrix_diagonal_is_the_variance():
-    m = _model(0.6, 1, 0.0)
-    times = np.array([0.4, 0.9])
-    sites = np.zeros((1, 1))
-    cov = _dense(m, times, sites)
+    m = HeatModel(hurst=0.6, t0=0.4, t1=0.9)
+    cov, odd = _blocks(m, SampleGrid.regular(m, 2, 1))  # the one site x = 0 is even
+    assert odd.shape == (0, 0)
     assert cov[0, 0] == pytest.approx(m.variance(0.4), rel=1e-12)
     assert cov[1, 1] == pytest.approx(m.variance(0.9), rel=1e-12)
 

@@ -17,9 +17,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # names kept without a program caller, each with the ROADMAP item that keeps it
 ALLOWED = {
-    "kernel_from_gauge": "direction 4, the hitting-bounds pipeline, takes capacities under it",
-    "GaugeSystem.hausdorff_gauge": "direction 4: the gauge kernel evaluates it",
-    "HeatModel.metric": "Fix first 2: perfbench/spans.py wraps it by name",
+    "kernel_from_gauge": "direction 6, the hitting-bounds pipeline, takes capacities under it",
+    "GaugeSystem.hausdorff_gauge": "direction 5: small-ball reads its reference slope from it",
+    "HeatModel.metric": "Fix first 1: perfbench/spans.py wraps it by name until it traces HeatModel.metrics",
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 
 import anisohit.mc
 from anisohit.errors import ConfigurationError, FactorizationError, InsufficientResolutionError
-from anisohit.heat import HeatModel, covariance_matrix, model_gauges
+from anisohit.heat import HeatModel, covariance_matrix, model_gauges, separations
 from anisohit.mc import (
     SampleGrid,
     _min_distances,
@@ -89,10 +89,24 @@ def _parity_error(grid, factors, dense, mirror_sign=-1.0):
     return np.max(np.abs(s @ s.T - dense)) / np.max(np.diag(dense))
 
 
+def _sites(grid):
+    """The grid's site coordinates, one row per site, the first axis slowest."""
+    mesh = np.meshgrid(*[np.asarray(grid.site_axis)] * grid.space_dim, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 def _dense(m, grid):
-    """The grid's covariance without parity, made symmetric from its lower triangle."""
-    [lower], _ = covariance_matrix(m, np.asarray(grid.times), grid.sites)
-    return np.tril(lower) + np.tril(lower, -1).T
+    """The grid's covariance, time-major, from the scalar kernel at the
+    coordinate separations of every pair of sites."""
+    times, sites = np.asarray(grid.times), _sites(grid)
+    nt, ns = len(times), len(sites)
+    uniq, inverse = np.unique(separations(np.repeat(sites, ns, axis=0), np.tile(sites, (ns, 1))), return_inverse=True)
+    out = np.empty((nt * ns, nt * ns))
+    for i, j in zip(*np.triu_indices(nt)):
+        block = m._cov_batch(times[i], times[j], uniq)[inverse].reshape(ns, ns)
+        out[i * ns : (i + 1) * ns, j * ns : (j + 1) * ns] = block
+        out[j * ns : (j + 1) * ns, i * ns : (i + 1) * ns] = block.T
+    return out
 
 
 def _arrays(factors):
@@ -108,14 +122,12 @@ def test_regular_grid_shape_and_window():
     grid = SampleGrid.regular(m, 4, 5)
     assert grid.n_points == 20
     assert grid.times[0] == m.t0 and grid.times[-1] == m.t1
-    assert grid.sites.shape == (5, 1)
-    assert grid.sites.min() == -m.box_radius and grid.sites.max() == m.box_radius
+    assert len(grid.site_axis) == 5
+    assert grid.site_axis[0] == -m.box_radius and grid.site_axis[-1] == m.box_radius
     plane = SampleGrid.regular(_model(space_dim=2), 3, 4)
-    assert plane.n_points == 48 and plane.sites.shape == (16, 2)
-    # one axis in each dimension, the first varying slowest
-    axis = np.asarray(plane.site_axis)
-    np.testing.assert_allclose(axis, np.linspace(-1.0, 1.0, 4), rtol=0.0, atol=4.5e-16)
-    assert np.array_equal(plane.sites, np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2))
+    # one axis in each dimension
+    assert plane.n_points == 48 and plane.space_dim == 2
+    np.testing.assert_allclose(plane.site_axis, np.linspace(-1.0, 1.0, 4), rtol=0.0, atol=4.5e-16)
 
 
 @pytest.mark.parametrize("box_radius", [1.0, 2.7])
@@ -167,6 +179,36 @@ PARITY_GRIDS = [
 PARITY_IDS = ["d1-even", "d1-odd", "1x1", "d2-alpha0.5-odd", "d3", "d2-alpha0.5-even", "d3-even"]
 
 
+def _class_sites(grid, sigma):
+    """Coordinates of class sigma's sites: x >= 0 on its even axes and x > 0
+    on its odd ones, each by increasing x, the first axis slowest."""
+    axis = np.asarray(grid.site_axis)
+    mesh = np.meshgrid(*[axis[axis > 0.0] if odd else axis[axis >= 0.0] for odd in sigma], indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+@pytest.mark.parametrize("kw, shape", PARITY_GRIDS, ids=PARITY_IDS)
+def test_parity_tables_index_the_coordinate_separations(kw, shape):
+    # whole-step offsets give each |x - eta y| of a class to rounding, with
+    # the sign of eta in the class, and every separation is some pair's
+    m = _model(**kw)
+    grid = SampleGrid.regular(m, *shape)
+    seps, tables = grid.parity()
+    assert seps[0] == 0.0 and np.all(np.diff(seps) > 0.0)
+    classes = list(itertools.product((0, 1), repeat=grid.space_dim))
+    used = np.zeros(len(seps), dtype=bool)
+    for sigma, terms in zip(classes, tables):
+        x = _class_sites(grid, sigma)
+        assert len(terms) == len(classes)
+        for eta, (sign, idx) in zip(classes, terms):
+            assert sign == (-1.0) ** sum(f * o for f, o in zip(eta, sigma))
+            y = x * np.where(eta, -1.0, 1.0)
+            want = separations(np.repeat(x, len(x), axis=0), np.tile(y, (len(x), 1))).reshape(idx.shape)
+            np.testing.assert_allclose(seps[idx], want, rtol=1e-15, atol=1e-15 * m.box_radius)
+            used[idx] = True
+    assert used.all()
+
+
 @pytest.mark.parametrize("kw, shape", PARITY_GRIDS, ids=PARITY_IDS)
 def test_factor_reproduces_the_covariance(kw, shape, caplog):
     m = _model(**kw)
@@ -205,8 +247,8 @@ def test_parity_check_rejects_a_wrong_sign_or_a_dropped_mirror_term(kw, shape):
     times = np.asarray(grid.times)
     dense = _dense(m, grid)
     assert _parity_error(grid, factors, dense, mirror_sign=1.0) > 1e-3
-    classes, reflections = grid.parity()
-    dropped, _ = covariance_matrix(m, times, grid.sites, (classes, reflections[:1]))
+    seps, tables = grid.parity()
+    dropped, _ = covariance_matrix(m, times, (seps, [terms[:1] for terms in tables]))
     factors = [np.linalg.cholesky(b) if b.size else b for b in dropped]  # reads the lower triangle
     assert _parity_error(grid, factors, dense) > 1e-3
 
@@ -222,7 +264,7 @@ def test_a_class_reads_nothing_of_its_partners_triangle(monkeypatch, kw, shape):
     monkeypatch.setattr(SampleGrid, "unfold", lambda self, parts: None)  # class values, not field values
     want_parts = sample_fields(grid, want, 2, 7, [0, 5])
     for c in range(len(want)):
-        blocks, refill = covariance_matrix(m, times, grid.sites, parity)
+        blocks, refill = covariance_matrix(m, times, parity)
         partner = blocks[c ^ 1]
         assert partner.base is blocks[c].base
         partner[np.tril_indices(len(partner))] = np.nan
@@ -250,6 +292,21 @@ def test_factor_holds_one_covariance_sized_array():
     # the two 512-point classes share one 513 x 512 array, against two 512^2 ones
     assert packed <= 0.51 * sum(f.shape[0] ** 2 * 8 for f in factors)
     assert peak <= 1.25 * packed
+
+
+def test_factor_of_a_plane_grid_holds_no_site_pair_table():
+    # each parity table spans one class's sites: on this 1 x 48^2 grid,
+    # tables over all site pairs traced a 388 MB peak for 5 MB of factors
+    m = _model(hurst=0.8, space_dim=2)
+    grid = SampleGrid.regular(m, 1, 48)
+    factor_covariance(m, SampleGrid.regular(m, 2, 2))  # loads LAPACK untraced
+    tracemalloc.start()
+    try:
+        factor_covariance(m, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 96e6
 
 
 def test_min_distances_hold_one_chunk():
