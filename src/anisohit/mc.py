@@ -193,8 +193,11 @@ class SampleGrid:
         is the signed mean over eta of cov(x, eta y).
         """
         n = len(self.site_axis)
-        sums = np.sort(sum(np.ix_(*[np.arange(n) ** 2] * self.space_dim)), axis=None)
-        whole = sums[np.diff(sums, prepend=-1) > 0]  # distinct; np.unique would load numpy.ma
+        present = np.zeros(self.space_dim * (n - 1) ** 2 + 1, dtype=bool)
+        present[sum(np.ix_(*[np.arange(n) ** 2] * self.space_dim))] = True
+        whole = np.flatnonzero(present)
+        rank = np.zeros(len(present), dtype=np.min_scalar_type(len(whole)))  # S -> its index in whole; 2 bytes, not 8
+        rank[whole] = np.arange(len(whole))
         step = (self.site_axis[-1] - self.site_axis[0]) / max(n - 1, 1)
         tables = []
         for sigma in self._classes():
@@ -206,8 +209,7 @@ class SampleGrid:
                     steps = a[:, None] + a - (n - 1) if flip else a[:, None] - a
                     size = len(squares) * len(a)
                     squares = (squares[:, None, :, None] + steps[None, :, None, :] ** 2).reshape(size, size)
-                table = np.searchsorted(whole, squares).astype(np.min_scalar_type(len(whole)))  # 2 bytes, not 8
-                terms.append(((-1.0) ** sum(f * o for f, o in zip(eta, sigma)), table))
+                terms.append(((-1.0) ** sum(f * o for f, o in zip(eta, sigma)), rank[squares]))
             tables.append(terms)
         return step * np.sqrt(whole), tables
 

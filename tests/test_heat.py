@@ -375,7 +375,6 @@ def test_covariance_matrix_blocks_match_pointwise_kernel():
     axis = np.asarray(grid.site_axis)
     blocks = _blocks(m, grid)
     classes = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    scale = m.variance(m.t1)
     for cov, sigma in zip(blocks, classes):
         halves = [axis[axis > 0.0] if odd else axis[axis >= 0.0] for odd in sigma]
         sites = [np.array(x) for x in itertools.product(*halves)]
@@ -389,7 +388,7 @@ def test_covariance_matrix_blocks_match_pointwise_kernel():
                             flip = np.where(eta, -1.0, 1.0)
                             sign = (-1.0) ** sum(f * o for f, o in zip(eta, sigma))
                             ref += sign * m._cov_batch(t, s, separations(x[None, :], (flip * y)[None, :]))[0] / 4
-                        assert cov[i * k + a, j * k + b] == pytest.approx(ref, rel=1e-12, abs=1e-13 * scale)
+                        assert cov[i * k + a, j * k + b] == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
