@@ -177,6 +177,16 @@ def _positive(key: str, value: float) -> float:
     return value
 
 
+def _finite(key: str, value: float | None, least: float = -math.inf) -> float | None:
+    """``value`` of config key ``key``, which must be finite and at least
+    ``least`` when given: a tolerance or a reference at inf or NaN makes a
+    row that cannot fail, or cannot pass."""
+    if value is not None and not (math.isfinite(value) and value >= least):
+        floor = "" if least == -math.inf else f" and at least {least:g}"
+        raise ConfigurationError(f"config key {key!r} must be finite{floor}, got {value!r}")
+    return value
+
+
 def _float_list(text: str) -> list:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
@@ -256,8 +266,8 @@ def _run_gauge_check(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     )
     grid_size = cfg.int("grid_size", 200)
     expect_increasing = cfg.int("expect_increasing", 1)
-    limit_ref = cfg.float("growth_limit", None)
-    limit_tol = cfg.float("growth_limit_rel_tol", 0.02)
+    limit_ref = _finite("growth_limit", cfg.float("growth_limit", None))
+    limit_tol = _finite("growth_limit_rel_tol", cfg.float("growth_limit_rel_tol", 0.02), 0.0)
     cfg.reject_unknown()
 
     mono = check_monotonicity(system)
@@ -285,7 +295,7 @@ def _run_variance_scaling(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     model = _model_from(cfg)
     t_ref = _positive("t_ref", cfg.float("t_ref", 0.25))
     factors = [_positive("factors", c) for c in cfg.floats("factors", [0.5, 2.0, 4.0])]
-    rel_tol = cfg.float("rel_tol", 1e-6)
+    rel_tol = _finite("rel_tol", cfg.float("rel_tol", 1e-6), 0.0)
     cfg.reject_unknown()
 
     base = model.variance_direct(t_ref)
@@ -314,7 +324,7 @@ def _run_metric_equivalence(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     n_pairs = cfg.int("n_pairs", 1000)
     if n_pairs < 2:  # one pair's band is 1 whatever the metric
         raise ConfigurationError(f"config key 'n_pairs' must be at least 2, got {n_pairs}")
-    band_limit = cfg.float("band_limit", 50.0)
+    band_limit = _finite("band_limit", cfg.float("band_limit", 50.0))
     cfg.reject_unknown()
 
     system = model_gauges(model)
@@ -338,9 +348,9 @@ def _run_rates(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     from .heat import model_gauges, spatial_gauge_residual, spatial_slope, temporal_slope
 
     model = _model_from(cfg)
-    tol_t = cfg.float("temporal_tol", 0.02)
-    tol_x = cfg.float("spatial_tol", 0.03)
-    ratio_min = cfg.float("residual_ratio_min", 5.0)
+    tol_t = _finite("temporal_tol", cfg.float("temporal_tol", 0.02), 0.0)
+    tol_x = _finite("spatial_tol", cfg.float("spatial_tol", 0.03), 0.0)
+    ratio_min = _finite("residual_ratio_min", cfg.float("residual_ratio_min", 5.0))
     cfg.reject_unknown()
 
     params = f"H={model.hurst:g};alpha={model.alpha:g};d={model.space_dim}"
@@ -379,9 +389,9 @@ def _run_capacity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     target = _target_from(cfg)
     beta = cfg.float("riesz_beta", _REQUIRED)
     n_cells = cfg.int("n_cells", 256)
-    tol = cfg.float("tol", 1e-6)
-    expect = cfg.float("expect_capacity", None)
-    expect_rel = cfg.float("expect_rel_tol", 0.01)
+    tol = _positive("tol", cfg.float("tol", 1e-6))
+    expect = _finite("expect_capacity", cfg.float("expect_capacity", None))
+    expect_rel = _finite("expect_rel_tol", cfg.float("expect_rel_tol", 0.01), 0.0)
     scale = cfg.float("homogeneity_scale", None)
     if scale is not None:
         _positive("homogeneity_scale", scale)
@@ -423,14 +433,10 @@ def _run_hausdorff(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     from .potential import hausdorff_upper
 
     target = _target_from(cfg)
-    gamma = cfg.float("gauge_gamma", _REQUIRED)
-    if not math.isfinite(gamma):
-        raise ConfigurationError(f"config key 'gauge_gamma' must be finite, got {gamma!r}")
+    gamma = _finite("gauge_gamma", cfg.float("gauge_gamma", _REQUIRED))
     eps = cfg.floats("eps", _REQUIRED)
-    ref = cfg.float("expect_value", None)
-    factor = cfg.float("expect_factor", 2.0)
-    if not 1.0 <= factor < math.inf:  # below 1 no value passes, at inf every value does
-        raise ConfigurationError(f"config key 'expect_factor' must be finite and at least 1, got {factor!r}")
+    ref = _finite("expect_value", cfg.float("expect_value", None))
+    factor = _finite("expect_factor", cfg.float("expect_factor", 2.0), 1.0)  # below 1 no value passes
     cfg.reject_unknown()
 
     estimates = hausdorff_upper(lambda t: t**gamma, target, eps)
@@ -452,7 +458,7 @@ def _grid_from(cfg: ConfigReader, model):
 
 
 def _run_hit_mc(cfg: ConfigReader, seed: int) -> list[ReportRow]:
-    from .mc import estimate_hit_prob
+    from .mc import estimate_hit_prob, mesh_inflation
 
     model = _model_from(cfg)
     grid = _grid_from(cfg, model)
@@ -460,19 +466,20 @@ def _run_hit_mc(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     n_samples = cfg.int("n_samples", 1000)
     cfg.reject_unknown()
 
-    hp = estimate_hit_prob(model, grid, target, n_samples=n_samples, seed=seed)
+    rho = mesh_inflation(model, grid)
+    raw, inflated = estimate_hit_prob(model, grid, target, [0.0, rho], n_samples=n_samples, seed=seed)
     params = (
         f"H={model.hurst:g};D={model.components};grid={len(grid.times)}x"
         f"{grid.n_points // len(grid.times)};n={n_samples};seed={seed}"
     )
     return [
-        _info_row("hit-raw", f"{params};ci={hp.raw.ci_lo:.6g}:{hp.raw.ci_hi:.6g}", hp.raw.p_hat),
+        _info_row("hit-raw", f"{params};ci={raw.ci_lo:.6g}:{raw.ci_hi:.6g}", raw.p_hat),
         _info_row(
             "hit-inflated",
-            f"{params};rho={hp.inflation:.6g};ci={hp.inflated.ci_lo:.6g}:{hp.inflated.ci_hi:.6g}",
-            hp.inflated.p_hat,
+            f"{params};rho={rho:.6g};ci={inflated.ci_lo:.6g}:{inflated.ci_hi:.6g}",
+            inflated.p_hat,
         ),
-        _bound_row("hit-bracket", params, hp.raw.p_hat, hp.inflated.p_hat),
+        _bound_row("hit-bracket", params, raw.p_hat, inflated.p_hat),
     ]
 
 
@@ -485,7 +492,7 @@ def _run_small_ball(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     center = cfg.floats("center", [0.0] * model.components)
     eps = cfg.floats("eps", [0.25, 0.125, 0.0625, 0.03125])
     n_samples = cfg.int("n_samples", 10_000)
-    slope_tol = cfg.float("slope_tol", 0.3)
+    slope_tol = _finite("slope_tol", cfg.float("slope_tol", 0.3), 0.0)
     cfg.reject_unknown()
 
     system = model_gauges(model)
@@ -497,7 +504,7 @@ def _run_small_ball(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     )
     rows = [
         _info_row("small-ball-p", f"{params};eps={e:g}", p)
-        for e, p in zip(report.eps, report.p_hat)
+        for e, p in zip(eps, report.p_hat)
     ]
     if model.is_critical:
         rows.append(_info_row("small-ball-slope", params, report.slope))
@@ -509,7 +516,8 @@ def _run_small_ball(cfg: ConfigReader, seed: int) -> list[ReportRow]:
 def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     from .gauges import check_monotonicity
     from .heat import model_gauges
-    from .mc import point_trend
+    from .mc import SampleGrid, estimate_hit_prob, mesh_inflation
+    from .potential import PointSet
 
     model = _model_from(cfg)
     center = cfg.floats("center", [1.5] * model.components)
@@ -531,15 +539,14 @@ def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     mono = check_monotonicity(system)
     params = f"H={model.hurst:g};D={model.components};n={n_samples};seed={seed}"
     rows = [_flag_row("polar-verdict", params, mono.polar_points, expect_polar)]
-    estimates = point_trend(model, center, shapes, n_samples=n_samples, seed=seed)
-    ps = [e.inflated.p_hat for e in estimates]
-    for (nt, ns), est in zip(shapes, estimates):
-        rows.append(
-            _info_row(
-                "polar-p-inflated", f"{params};grid={nt}x{ns};rho={est.inflation:.6g}", est.inflated.p_hat
-            )
-        )
+    target = PointSet([center])
+    for nt, ns in shapes:
+        grid = SampleGrid.regular(model, nt, ns)
+        rho = mesh_inflation(model, grid)
+        [est] = estimate_hit_prob(model, grid, target, [rho], n_samples=n_samples, seed=seed)
+        rows.append(_info_row("polar-p-inflated", f"{params};grid={nt}x{ns};rho={rho:.6g}", est.p_hat))
     if mono.polar_points:
+        ps = [r.observed for r in rows[1:]]
         decreasing = all(a > b for a, b in zip(ps, ps[1:]))
         rows.append(_flag_row("polar-trend-decreasing", params, decreasing, True))
     return rows

@@ -37,14 +37,19 @@ package: the package import costs about 0.25 s of every run (it pulls in
 25 ms.  They are the objects that ``scipy.linalg.lapack`` and
 ``scipy.linalg.blas`` re-export, so factors and samples are the same bits.
 
-Hitting is decided against a target set's distance function: a replicate
-hits when some grid point's field vector comes within the inflation radius
-of the set.  The raw (radius 0) and mesh-inflated frequencies count the
-same replicates, so raw <= inflated (the ``hit-bracket`` row) holds by
-construction; it does not show that they bracket the continuum probability.
-The radius is always the mesh radius, a sup-modulus heuristic of three
-model-gauge increments times the usual sqrt(2 log n) factor, which is 2 to
-26 times the field's standard deviation on the grids measured so far.
+Hitting is decided against a target set's distance function: one
+reduction, ``estimate_hit_prob``, takes each replicate's minimum distance
+from the field on one grid to the set, and gives the frequency with which
+it is at most r for each radius r of a list, all over the same replicates,
+so the frequencies are monotone in r by construction.  ``hit-mc`` asks for
+radius 0 and the mesh radius, ``polarity`` for each grid's mesh radius and
+``small_ball_slope`` for its ladder of radii around a point.  Until a
+calibrated radius replaces it, the CLI chooses the mesh radius
+(``mesh_inflation``), a sup-modulus heuristic of three model-gauge
+increments times the usual sqrt(2 log n) factor, which is 2 to 26 times
+the field's standard deviation on the grids measured so far: raw <= inflated
+(the ``hit-bracket`` row) holds by construction and does not show that the
+two bracket the continuum probability.
 """
 
 from __future__ import annotations
@@ -377,15 +382,6 @@ def mesh_inflation(model: HeatModel, grid: SampleGrid) -> float:
     return 3.0 * (system.q1.value(dt) + system.q2.value(dx)) * math.sqrt(2.0 * math.log(n))
 
 
-@dataclass(frozen=True)
-class HitProbability:
-    """Raw and mesh-inflated hitting frequencies over shared replicates."""
-
-    raw: Estimate
-    inflated: Estimate
-    inflation: float
-
-
 def _min_distances(
     model: HeatModel,
     grid: SampleGrid,
@@ -420,13 +416,18 @@ def estimate_hit_prob(
     model: HeatModel,
     grid: SampleGrid,
     target: TargetSet,
+    radii: Sequence[float],
     n_samples: int,
     seed: int,
-) -> HitProbability:
-    """MC hitting probability of the target, raw and inflated by the mesh radius.
+) -> list[Estimate]:
+    """Monte Carlo frequencies of the field coming within each radius of the target.
 
-    Both frequencies count the same replicates; the inflation radius is
-    ``mesh_inflation(model, grid)``.
+    The field is sampled on ``grid`` in ``n_samples`` replicates keyed by
+    ``seed``; a replicate counts at radius r when some grid point's field
+    vector lies within r of the target (r = 0: on it).  One Wilson estimate
+    per radius, in the order of ``radii``, all over the same replicates, so
+    the frequencies are monotone in the radius.  This is the only place
+    where minimum distances become frequencies.
     """
     if n_samples < 100:
         raise ConfigurationError("need n_samples >= 100 for a meaningful interval")
@@ -434,16 +435,9 @@ def estimate_hit_prob(
         raise ConfigurationError(
             f"target lives in dimension {target.dim}, field has {model.components} components"
         )
-    rho = mesh_inflation(model, grid)
     factors = factor_covariance(model, grid)
     dmin = _min_distances(model, grid, factors, target, n_samples, seed)
-    raw_hits = int(np.sum(dmin <= 0.0))
-    inf_hits = int(np.sum(dmin <= rho))
-    return HitProbability(
-        raw=_estimate(raw_hits, n_samples),
-        inflated=_estimate(inf_hits, n_samples),
-        inflation=rho,
-    )
+    return [_estimate(int(np.count_nonzero(dmin <= r)), n_samples) for r in radii]
 
 
 # -- small-ball scaling -------------------------------------------------------------
@@ -451,10 +445,10 @@ def estimate_hit_prob(
 
 @dataclass(frozen=True)
 class SmallBallReport:
-    """OLS slope of log hit frequency against log ball radius."""
+    """OLS slope of log hit frequency against log ball radius, and the
+    frequencies along the ladder."""
 
     slope: float
-    eps: np.ndarray
     p_hat: np.ndarray
 
 
@@ -468,47 +462,21 @@ def small_ball_slope(
 ) -> SmallBallReport:
     """Slope of log P(field comes within eps of a point) along an eps ladder.
 
-    All radii share one replicate set, so the frequencies are monotone in
-    eps by construction.  Every frequency must land strictly inside (0, 1);
+    The ladder is at least three positive, finite, strictly decreasing
+    radii; ``estimate_hit_prob`` gives their frequencies at the point
+    ``center`` over one replicate set, so they are monotone in eps by
+    construction.  Every frequency must land strictly inside (0, 1);
     otherwise the ladder cannot identify a slope at this resolution.
     """
-    if n_samples < 100:
-        raise ConfigurationError("need n_samples >= 100 for a meaningful interval")
     eps = np.asarray([float(e) for e in eps_ladder])
     if len(eps) < 3 or not np.all((eps > 0) & (eps < np.inf)) or not np.all(np.diff(eps) < 0):
         raise ConfigurationError("eps_ladder must be >= 3 positive, finite, strictly decreasing radii")
-    z = np.asarray(center, dtype=float).reshape(1, -1)
-    if z.shape[1] != model.components:
-        raise ConfigurationError("center must have one coordinate per field component")
-    factors = factor_covariance(model, grid)
-    dmin = _min_distances(model, grid, factors, PointSet(z), n_samples, seed)
-    p_hat = np.array([np.mean(dmin <= e) for e in eps])
+    estimates = estimate_hit_prob(model, grid, PointSet([center]), eps, n_samples, seed)
+    p_hat = np.array([e.p_hat for e in estimates])
     if np.any(p_hat <= 0.0) or np.any(p_hat >= 1.0):
         raise InsufficientResolutionError(
             f"hit frequencies {p_hat.tolist()} leave (0,1); widen the radii, "
             "refine the grid, or raise n_samples"
         )
     slope = np.polyfit(np.log(eps), np.log(p_hat), 1)[0]
-    return SmallBallReport(slope=float(slope), eps=eps, p_hat=p_hat)
-
-
-def point_trend(
-    model: HeatModel,
-    center: Sequence[float],
-    grid_shapes: Sequence[tuple[int, int]],
-    n_samples: int,
-    seed: int,
-) -> list[HitProbability]:
-    """Inflated point-hitting estimates across grid refinements.
-
-    For polar points the mesh inflation shrinks faster than the extra grid
-    points gain coverage, so the inflated estimate trends to zero.
-    """
-    z = np.asarray(center, dtype=float).reshape(1, -1)
-    out = []
-    for n_times, n_sites in grid_shapes:
-        grid = SampleGrid.regular(model, n_times, n_sites)
-        out.append(
-            estimate_hit_prob(model, grid, PointSet(z), n_samples=n_samples, seed=seed)
-        )
-    return out
+    return SmallBallReport(slope=float(slope), p_hat=p_hat)

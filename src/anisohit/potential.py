@@ -9,8 +9,8 @@ iteration whose final duality gap is also a rigorous bound on the suboptimality,
 reported capacity comes with a certificate.
 
 The premeasure side covers the set with half-open dyadic cells exactly (no
-sampling): each supported set type enumerates or counts the cells of a given
-side length that meet it, and the estimate is the count times the gauge of
+sampling): each supported set type counts the cells of a given side length
+that meet it, and the estimate is the count times the gauge of
 the covering ball diameter, minimized over a few nearby scales.
 """
 
@@ -51,16 +51,9 @@ class TargetSet:
         their common width (0 for points)."""
         raise NotImplementedError
 
-    def dyadic_cells(self, side: float) -> np.ndarray:
-        """Integer index rows of half-open dyadic cells meeting the set.
-
-        Sets whose cover is a product of axis ranges (``Box``, ``CantorDust``)
-        count it directly in ``dyadic_count`` and do not list it.
-        """
-        raise NotImplementedError
-
     def dyadic_count(self, side: float) -> int:
-        return len(self.dyadic_cells(side))
+        """Number of half-open dyadic cells of side ``side`` meeting the set."""
+        raise NotImplementedError
 
     def _points2d(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -115,17 +108,17 @@ class Ball(TargetSet):
             total = total[rows] + sq[k]
         return np.asarray(self.center) - self.radius + w * (idx + 0.5), w
 
-    def dyadic_cells(self, side: float) -> np.ndarray:
+    def dyadic_count(self, side: float) -> int:
         ranges = [
             _interval_cell_range(c - self.radius, c + self.radius, side) for c in self.center
         ]
         _guard_cover_size(int(np.prod([len(r) for r in ranges])))
         idx = _product_grid([r.astype(float) for r in ranges]).astype(np.int64)
-        # keep cells whose closed box touches the ball
+        # count cells whose closed box touches the ball
         lo = idx * side
         nearest = np.clip(np.asarray(self.center), lo, lo + side)
-        keep = np.linalg.norm(nearest - np.asarray(self.center), axis=1) <= self.radius
-        return idx[keep]
+        gap = np.linalg.norm(nearest - np.asarray(self.center), axis=1)
+        return int(np.count_nonzero(gap <= self.radius))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,13 +213,12 @@ class PointSet(TargetSet):
     def cells(self, n_cells: int) -> tuple[np.ndarray, float]:
         return self.points.copy(), 0.0
 
-    def dyadic_cells(self, side: float) -> np.ndarray:
-        # rows sorted lexicographically, repeats dropped by comparing
-        # neighbours: np.unique(axis=0) gives the same rows but imports
-        # numpy.ma on its first call
+    def dyadic_count(self, side: float) -> int:
+        # distinct rows counted in lexicographic order, where repeats are
+        # neighbours: np.unique(axis=0) imports numpy.ma on its first call
         cells = np.floor(self.points / side).astype(np.int64)
         cells = cells[np.lexsort(cells.T[::-1])]
-        return cells[np.concatenate(([True], np.any(cells[1:] != cells[:-1], axis=1)))]
+        return 1 + int(np.count_nonzero(np.any(cells[1:] != cells[:-1], axis=1)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -34,7 +34,7 @@ from anisohit.heat import (
     spatial_slope,
     temporal_slope,
 )
-from anisohit.mc import SampleGrid, estimate_hit_prob
+from anisohit.mc import SampleGrid, estimate_hit_prob, mesh_inflation
 from anisohit.potential import (
     Ball,
     Box,
@@ -303,8 +303,9 @@ def test_criterion_09_small_ball_slope(small_ball_runs):
     assert all(a >= b for a, b in zip(p_rows, p_rows[1:]))  # shared replicates
     # raw and inflated estimates bracket consistently on a shared sample
     grid = SampleGrid.regular(model, 8, 8)
-    hp = estimate_hit_prob(model, grid, Ball(center=(0.0,) * 4, radius=0.5), n_samples=500, seed=42)
-    assert hp.raw.p_hat <= hp.inflated.p_hat
+    ball = Ball(center=(0.0,) * 4, radius=0.5)
+    raw, inflated = estimate_hit_prob(model, grid, ball, [0.0, mesh_inflation(model, grid)], n_samples=500, seed=42)
+    assert raw.p_hat <= inflated.p_hat
     assert elapsed + (time.monotonic() - started) < 900.0
     _verdict(9, f"small-ball slope {slope_rows[0][2]:.3f} within 0.3 of {ref:.4f}", started)
 

@@ -195,6 +195,7 @@ def test_blocked_output_directory_exits_2(tmp_path):
 
 _HIT_MC_2D = "hurst = 0.75\ncomponents = 2\nn_times = 4\nn_sites = 4\nn_samples = 200\n"
 _HUGE = "1000000000000000"
+_GAUGES = "q1_nu = 0.5\nq2_nu = 0.5\nstate_dim = 5\ndiam_cap = 1.0\n"
 # a window so wide that the covariance overflows: in the rule builder's
 # arrays below H = 0.75, in the variance's float power above it
 _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
@@ -245,6 +246,24 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\neps = inf, 1, 0.5\nn_samples = 200\n"),
         # one frequency is a trend that cannot fail
         ("polarity", "hurst = 0.9\ncomponents = 4\ngrids = 8x8\nn_samples = 200\n"),
+        # tolerances and references that make a row unable to fail, or to pass
+        ("capacity", "target = interval\nriesz_beta = 0.3\nexpect_capacity = inf\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\nexpect_capacity = 0.6\nexpect_rel_tol = inf\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\nexpect_capacity = 0.6\nexpect_rel_tol = -0.01\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\ntol = inf\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\ntol = 0\n"),
+        ("gauge-check", _GAUGES + "growth_limit = inf\n"),
+        ("gauge-check", _GAUGES + "growth_limit = 2\ngrowth_limit_rel_tol = inf\n"),
+        ("variance-scaling", "hurst = 0.75\nrel_tol = inf\n"),
+        ("variance-scaling", "hurst = 0.75\nrel_tol = -1e-6\n"),
+        ("rates", "hurst = 0.7\ntemporal_tol = inf\n"),
+        ("rates", "hurst = 0.7\nspatial_tol = -1\n"),
+        ("rates", "hurst = 0.7\nspatial_tol = nan\n"),
+        ("rates", "hurst = 0.75\nresidual_ratio_min = -inf\n"),
+        ("metric-equivalence", "hurst = 0.75\nband_limit = inf\n"),
+        ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\nslope_tol = inf\n"),
+        ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = inf\n"),
+        ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = 1\nexpect_factor = inf\n"),
     ],
     ids=[
         "beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative",
@@ -254,7 +273,10 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         "expect-factor-below-1", "n-cells-huge", "homogeneity-cells-huge", "hit-mc-samples-huge",
         "small-ball-samples-huge", "polarity-samples-huge", "n-pairs-huge", "grid-size-huge", "t1-inf",
         "box-radius-inf", "hausdorff-eps-inf", "gauge-gamma-inf", "gauge-gamma-nan", "small-ball-eps-inf",
-        "polarity-one-grid",
+        "polarity-one-grid", "expect-capacity-inf", "expect-rel-tol-inf", "expect-rel-tol-negative", "tol-inf",
+        "tol-0", "growth-limit-inf", "growth-limit-rel-tol-inf", "rel-tol-inf", "rel-tol-negative",
+        "temporal-tol-inf", "spatial-tol-negative", "spatial-tol-nan", "residual-ratio-min-minus-inf",
+        "band-limit-inf", "slope-tol-inf", "expect-value-inf", "expect-factor-inf",
     ],
 )
 def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):

@@ -17,7 +17,6 @@ from anisohit.mc import (
     estimate_hit_prob,
     factor_covariance,
     mesh_inflation,
-    point_trend,
     sample_fields,
     small_ball_slope,
     wilson_interval,
@@ -547,21 +546,38 @@ def test_estimates_are_deterministic_given_the_seed():
     m = _model()
     grid = SampleGrid.regular(m, 3, 3)
     target = Ball(center=(0.5,), radius=0.5)
-    a = estimate_hit_prob(m, grid, target, n_samples=400, seed=9)
-    b = estimate_hit_prob(m, grid, target, n_samples=400, seed=9)
+    a = estimate_hit_prob(m, grid, target, [0.0, 0.3], n_samples=400, seed=9)
+    b = estimate_hit_prob(m, grid, target, [0.0, 0.3], n_samples=400, seed=9)
     assert a == b
 
 
 # -- hitting estimates ----------------------------------------------------------------------
 
 
-def test_inflated_estimate_dominates_raw_exactly():
+def test_frequencies_are_monotone_in_the_radius():
     m = _model()
     grid = SampleGrid.regular(m, 4, 4)
     target = Ball(center=(1.2,), radius=0.3)
-    result = estimate_hit_prob(m, grid, target, n_samples=500, seed=2)
-    assert result.inflation > 0.0
-    assert result.inflated.p_hat >= result.raw.p_hat
+    radii = [0.0, 0.1, 0.2, 0.4, 0.8]
+    ps = [e.p_hat for e in estimate_hit_prob(m, grid, target, radii, n_samples=500, seed=2)]
+    assert all(a <= b for a, b in zip(ps, ps[1:]))
+    assert ps[0] < ps[-1]  # the ladder spans frequencies that differ
+
+
+def test_one_estimate_per_radius_over_shared_replicates():
+    # each frequency counts the replicates whose minimum distance is within
+    # its radius, in the order the radii are given
+    m = _model(components=2)
+    grid = SampleGrid.regular(m, 4, 4)
+    target = Ball(center=(0.4, -0.2), radius=0.1)
+    radii = [0.3, 0.0, 0.6]
+    estimates = estimate_hit_prob(m, grid, target, radii, n_samples=300, seed=5)
+    dmin = _min_distances(m, grid, factor_covariance(m, grid), target, n_samples=300, seed=5)
+    assert len(estimates) == len(radii)
+    for r, est in zip(radii, estimates):
+        hits = int(np.sum(dmin <= r))
+        assert est.p_hat == hits / 300
+        assert (est.ci_lo, est.ci_hi) == wilson_interval(hits, 300)
 
 
 def test_far_target_is_never_hit():
@@ -569,22 +585,44 @@ def test_far_target_is_never_hit():
     m = _model()
     grid = SampleGrid.regular(m, 3, 3)
     target = PointSet(points=np.array([[1e3]]))
-    result = estimate_hit_prob(m, grid, target, n_samples=200, seed=0)
-    assert result.raw.p_hat == 0.0
-    assert result.inflated.p_hat == 0.0
+    raw, inflated = estimate_hit_prob(m, grid, target, [0.0, mesh_inflation(m, grid)], n_samples=200, seed=0)
+    assert raw.p_hat == 0.0
+    assert inflated.p_hat == 0.0
 
 
 def test_huge_target_is_always_hit():
     m = _model()
     grid = SampleGrid.regular(m, 3, 3)
     target = Box(lo=(-100.0,), hi=(100.0,))
-    result = estimate_hit_prob(m, grid, target, n_samples=200, seed=0)
-    assert result.raw.p_hat == 1.0
+    [raw] = estimate_hit_prob(m, grid, target, [0.0], n_samples=200, seed=0)
+    assert raw.p_hat == 1.0
     # the mesh radius on this coarse grid (about 12.4) reaches the far point
     far = PointSet(points=np.array([[4.0]]))
-    result = estimate_hit_prob(m, grid, far, n_samples=200, seed=0)
-    assert result.inflation == mesh_inflation(m, grid)
-    assert result.inflated.p_hat == 1.0
+    [inflated] = estimate_hit_prob(m, grid, far, [mesh_inflation(m, grid)], n_samples=200, seed=0)
+    assert inflated.p_hat == 1.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_one_point_grid_matches_the_noncentral_chi2_law(seed):
+    # on a 1 x 1 grid the field is one N(0, variance(t0) I_D) vector, so the
+    # hit frequency of a ball is a noncentral chi^2 cdf; the law at t = 0.2
+    # (0.1349 against 0.1625) is a control that the bound must reject
+    from scipy.stats import ncx2
+
+    m = HeatModel(hurst=0.7, space_dim=1, components=2)
+    grid = SampleGrid.regular(m, 1, 1)
+    assert grid.times == (m.t0,)
+    center, radius, n = np.array([0.3, 0.0]), 0.2, 20_000
+    [est] = estimate_hit_prob(m, grid, Ball(center=center, radius=radius), [0.0], n_samples=n, seed=seed)
+
+    def law(t):
+        var = float(m.variance(t))
+        return float(ncx2.cdf(radius**2 / var, df=2, nc=float(center @ center) / var))
+
+    exact, control = law(m.t0), law(0.2)
+    assert exact == pytest.approx(0.162458, abs=1e-6)
+    assert abs(est.p_hat - exact) <= 4.0 * math.sqrt(exact * (1.0 - exact) / n)
+    assert abs(est.p_hat - control) > 4.0 * math.sqrt(control * (1.0 - control) / n)
 
 
 def test_hit_probability_input_contracts():
@@ -592,9 +630,14 @@ def test_hit_probability_input_contracts():
     grid = SampleGrid.regular(m, 3, 3)
     target = Ball(center=(0.0,), radius=0.5)
     with pytest.raises(ConfigurationError):
-        estimate_hit_prob(m, grid, target, n_samples=50, seed=0)
+        estimate_hit_prob(m, grid, target, [0.0], n_samples=50, seed=0)
     with pytest.raises(ConfigurationError):
-        estimate_hit_prob(m, grid, Ball(center=(0.0, 0.0), radius=0.5), n_samples=200, seed=0)
+        estimate_hit_prob(m, grid, Ball(center=(0.0, 0.0), radius=0.5), [0.0], n_samples=200, seed=0)
+
+
+def test_mesh_inflation_shrinks_on_a_finer_grid():
+    m = _model(hurst=0.6)
+    assert mesh_inflation(m, SampleGrid.regular(m, 6, 6)) < mesh_inflation(m, SampleGrid.regular(m, 4, 4))
 
 
 def test_mesh_inflation_formula():
@@ -661,12 +704,3 @@ def test_small_ball_ladder_contracts():
     with pytest.raises(InsufficientResolutionError):
         # every replicate lands within 50 of the center, so p sticks at 1
         small_ball_slope(m, grid, [0.0], eps_ladder=[200.0, 100.0, 50.0], n_samples=200, seed=0)
-
-
-def test_point_trend_returns_one_estimate_per_grid():
-    m = _model(hurst=0.6)
-    out = point_trend(m, [1.5], [(4, 4), (6, 6)], n_samples=300, seed=0)
-    assert len(out) == 2
-    assert all(0.0 <= r.inflated.p_hat <= 1.0 for r in out)
-    # finer grids shrink the inflation radius
-    assert out[1].inflation < out[0].inflation

@@ -1,6 +1,7 @@
 """Capacities, the simplex optimizer, target geometry, and dyadic covers."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -104,29 +105,32 @@ def test_dyadic_cover_counts():
     # [0, 1/3] meets cells 0, 1 at side 1/4; [2/3, 1] meets 2, 3, 4
     assert dust.dyadic_count(0.25) == 5
     ball = Ball(center=(0.5,), radius=0.5)
-    assert len(ball.dyadic_cells(0.5)) == 3
+    assert ball.dyadic_count(0.5) == 3
 
 
-def test_dyadic_cells_match_counts():
-    for target in (Ball(center=(0.0, 0.0), radius=0.4), PointSet(points=np.array([[0.0, 0.0], [0.01, 0.3]]))):
-        cells = target.dyadic_cells(1.0 / 16.0)
-        assert len(cells) == target.dyadic_count(1.0 / 16.0)
-        assert cells.shape[1] == target.dim
+@pytest.mark.parametrize("center, radius, side", [((0.0, 0.0), 0.4, 1.0 / 16.0), ((0.3, -0.2, 0.1), 0.25, 0.125)])
+def test_ball_cover_counts_cells_whose_closed_box_touches_it(center, radius, side):
+    # every cell of the bounding range, tested one at a time
+    c = np.asarray(center)
+    axes = [range(math.floor((v - radius) / side), math.floor((v + radius) / side) + 1) for v in center]
+    want = 0
+    for idx in itertools.product(*axes):
+        lo = np.asarray(idx) * side
+        want += np.linalg.norm(np.maximum(np.maximum(lo - c, c - lo - side), 0.0)) <= radius
+    assert Ball(center=center, radius=radius).dyadic_count(side) == want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n_points", [1, 2, 300])
-def test_point_set_cells_equal_np_unique_rows(dim, n_points):
-    # lexicographic rows without repeats, as np.unique(axis=0) gives them
+def test_point_set_count_equals_np_unique_rows(dim, n_points):
     rng = np.random.default_rng(dim * 1000 + n_points)
     pts = rng.normal(scale=2.0, size=(n_points, dim))  # negative cells too
     if n_points > 1:
         pts[n_points // 2 :] = pts[: n_points - n_points // 2]  # repeated points
     pts[-1] += 0.01  # a point sharing its neighbour's cell at coarse sides
     for side in (4.0, 1.0, 0.3, 1.0 / 64.0):
-        want = np.unique(np.floor(pts / side).astype(np.int64), axis=0)
-        got = PointSet(pts).dyadic_cells(side)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        want = len(np.unique(np.floor(pts / side).astype(np.int64), axis=0))
+        assert PointSet(pts).dyadic_count(side) == want
 
 
 def _looped_cantor_axis(dust, side):
