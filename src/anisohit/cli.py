@@ -170,9 +170,10 @@ class ConfigReader:
 _REQUIRED = object()
 
 
-def _positive(key: str, value: float) -> float:
-    """``value`` of config key ``key``, which must be positive and finite."""
-    if not 0.0 < value < math.inf:
+def _positive(key: str, value: float | None) -> float | None:
+    """``value`` of config key ``key``, which must be positive and finite
+    when given."""
+    if value is not None and not 0.0 < value < math.inf:
         raise ConfigurationError(f"config key {key!r} must be positive and finite, got {value!r}")
     return value
 
@@ -390,11 +391,9 @@ def _run_capacity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     beta = cfg.float("riesz_beta", _REQUIRED)
     n_cells = cfg.int("n_cells", 256)
     tol = _positive("tol", cfg.float("tol", 1e-6))
-    expect = _finite("expect_capacity", cfg.float("expect_capacity", None))
+    expect = _positive("expect_capacity", cfg.float("expect_capacity", None))  # a capacity is positive
     expect_rel = _finite("expect_rel_tol", cfg.float("expect_rel_tol", 0.01), 0.0)
-    scale = cfg.float("homogeneity_scale", None)
-    if scale is not None:
-        _positive("homogeneity_scale", scale)
+    scale = _positive("homogeneity_scale", cfg.float("homogeneity_scale", None))
     cfg.reject_unknown()
 
     kernel = riesz_kernel(beta, target.dim)
@@ -435,7 +434,7 @@ def _run_hausdorff(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     target = _target_from(cfg)
     gamma = _finite("gauge_gamma", cfg.float("gauge_gamma", _REQUIRED))
     eps = cfg.floats("eps", _REQUIRED)
-    ref = _finite("expect_value", cfg.float("expect_value", None))
+    ref = _positive("expect_value", cfg.float("expect_value", None))  # so is a premeasure
     factor = _finite("expect_factor", cfg.float("expect_factor", 2.0), 1.0)  # below 1 no value passes
     cfg.reject_unknown()
 

@@ -14,7 +14,9 @@ where W collects the anti-diagonal mass of |tau - sigma|^(2H-2) in closed
 form and S(r, rho) = (4 pi)^(-d/2) Gamma(b)/Gamma(d/2) r^(-b)
 exp(-rho^2/4r) M(alpha/2, d/2, rho^2/4r) with Kummer's M.  For alpha = 0
 the Kummer factor is 1 and S is the Gaussian heat profile; only alpha > 0
-models evaluate M, and only they load ``scipy.special``.  The integrand
+models evaluate M, and only they load scipy's ``hyp1f1``, from the compiled
+module ``scipy.special._ufuncs`` without the ``scipy.special`` package
+(``_compiled.scipy_routine``).  The integrand
 is smooth except for power kinks at p in {s, t, 2s, 2t} and integrable
 endpoint singularities, so one panelled Gauss rule (a panel per octave,
 halved toward each kink to a depth set by H) evaluates it to near machine
@@ -170,12 +172,13 @@ class HeatModel:
         out = np.empty_like(x) if out is None else out
         if self.alpha == 0.0:
             return np.exp(np.negative(x, out=out), out=out)
-        from scipy import special  # only alpha > 0 models need 1F1
+        from ._compiled import scipy_routine  # only alpha > 0 models need 1F1
 
+        hyp1f1 = scipy_routine("hyp1f1")
         a, c = 0.5 * self.alpha, 0.5 * self.space_dim
         small = x <= 400.0
         if np.any(small):
-            out[small] = np.exp(-x[small]) * special.hyp1f1(a, c, x[small])
+            out[small] = np.exp(-x[small]) * hyp1f1(a, c, x[small])
         if np.any(~small):
             out[~small] = _kummer_asymptotic(x[~small], a, c)
         return out

@@ -21,21 +21,18 @@ quarter of one dense factor.
 Randomness is counter-based (Philox) and keyed by
 (seed, replicate, component), so estimates do not depend on chunking or
 evaluation order, and any single replicate can be reproduced in isolation.
-Per chunk of replicates, the first n normals of each stream are drawn
-straight into the layouts of one in-place triangular multiply per class
-(BLAS ``dtrmm``), a per-axis +/- butterfly (``SampleGrid.unfold``) turns the
-class values into field values in place, and the minimum distance to the
-target is taken per replicate over all n points, with consecutive
-replicates stacked into one distance call of at most 4096 field points.
-Each chunk is released before the next is drawn, so a run holds the packed
-factors and one chunk of field values.
-
-``dpotrf`` and ``dtrmm`` are scipy's own compiled routines, loaded from the
-two f2py extension modules of ``scipy.linalg`` without importing that
-package: the package import costs about 0.25 s of every run (it pulls in
-``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``), the two modules about
-25 ms.  They are the objects that ``scipy.linalg.lapack`` and
-``scipy.linalg.blas`` re-export, so factors and samples are the same bits.
+A chunk is ``max(1, 512 // components)`` replicates (256 at D = 2, 128 at
+D = 4), about 512 (replicate, component) rows.  Per chunk, the first n
+normals of each stream are drawn straight into the layouts of one in-place
+triangular multiply per class (BLAS ``dtrmm``), a per-axis +/- butterfly
+(``SampleGrid.unfold``) turns the class values into field values in place,
+and the minimum distance to the target is taken per replicate over all n
+points, with consecutive replicates stacked into one distance call of at
+most 4096 field points.  Each chunk is released before the next is drawn,
+so a run holds the packed factors and one chunk of field values: at most
+512 rows of n float64 (one replicate if D is larger), 16 MB on a 64 x 64
+grid.  ``dpotrf`` and ``dtrmm`` are scipy's compiled routines, loaded
+without the ``scipy.linalg`` package (``_compiled.scipy_routine``).
 
 Hitting is decided against a target set's distance function: one
 reduction, ``estimate_hit_prob``, takes each replicate's minimum distance
@@ -56,7 +53,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -71,56 +67,10 @@ from .potential import PointSet, TargetSet
 
 _MAX_GRID_POINTS = 4096
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
-_CHUNK = 256
+_CHUNK_ROWS = 512  # (replicate, component) rows sampled at once
 # field points stacked into one target.distance call, so that tiny grids
 # do not pay one Python call per replicate
 _DISTANCE_POINTS = 4096
-
-
-# -- compiled routines -------------------------------------------------------------
-
-
-def _linalg_extension(stem: str):
-    """Path of ``scipy.linalg``'s compiled module ``stem``, or None if absent."""
-    from importlib.machinery import EXTENSION_SUFFIXES
-    from pathlib import Path
-
-    import scipy
-
-    folder = Path(scipy.__file__).parent / "linalg"
-    return next((p for p in (folder / (stem + sfx) for sfx in EXTENSION_SUFFIXES) if p.is_file()), None)
-
-
-@cache
-def _lapack_blas():
-    """LAPACK ``dpotrf`` and BLAS ``dtrmm``, without importing ``scipy.linalg``.
-
-    Each f2py module is loaded from its file under the name the package
-    gives it, so a later ``import scipy.linalg`` finds it in ``sys.modules``
-    and re-exports the same objects.  scipy's file layout is private: when
-    either file is missing, the routines come from the public modules.
-    """
-    import sys
-    from importlib.machinery import ExtensionFileLoader
-    from importlib.util import module_from_spec, spec_from_loader
-
-    paths = {stem: _linalg_extension(stem) for stem in ("_flapack", "_fblas")}
-    if None in paths.values():
-        from scipy.linalg.blas import dtrmm
-        from scipy.linalg.lapack import dpotrf
-
-        return dpotrf, dtrmm
-    mods = {}
-    for stem, path in paths.items():
-        name = f"scipy.linalg.{stem}"
-        mod = sys.modules.get(name)
-        if mod is None:
-            loader = ExtensionFileLoader(name, str(path))
-            mod = module_from_spec(spec_from_loader(name, loader))
-            loader.exec_module(mod)
-            sys.modules[name] = mod
-        mods[stem] = mod
-    return mods["_flapack"].dpotrf, mods["_fblas"].dtrmm
 
 
 # -- grids and samples -----------------------------------------------------------
@@ -258,8 +208,8 @@ def factor_covariance(model: HeatModel, grid: SampleGrid) -> list[np.ndarray]:
     the rule values, its diagonal is lifted by 1e-10 of its largest entry,
     once more by 1e-9, and then the block is declared numerically
     singular.  A lift is logged as a warning.  A class without sites has a
-    0 x 0 factor.  ``dpotrf`` is scipy's, loaded by ``_lapack_blas``
-    without the ``scipy.linalg`` package import.
+    0 x 0 factor.  ``dpotrf`` is scipy's, loaded by
+    ``_compiled.scipy_routine`` without the ``scipy.linalg`` package import.
     """
     blocks, refill = covariance_matrix(model, np.asarray(grid.times), grid.parity())
     for c, block in enumerate(blocks):
@@ -275,7 +225,9 @@ def _lower_operand(block: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _factor_in_place(block: np.ndarray, refill) -> None:
-    dpotrf, _ = _lapack_blas()
+    from ._compiled import scipy_routine
+
+    dpotrf = scipy_routine("dpotrf")
     a, lower = _lower_operand(block)
     n = block.shape[0]
     scale = float(np.max(np.diagonal(block), initial=0.0))
@@ -315,10 +267,12 @@ def sample_fields(
     it alone.  Each class keeps one C-ordered buffer with one row per
     (replicate, component), whose transpose is the column-major operand
     that ``dtrmm`` overwrites; the results are views of those buffers.
-    ``dtrmm`` is scipy's, loaded by ``_lapack_blas`` without the
+    ``dtrmm`` is scipy's, loaded by ``_compiled.scipy_routine`` without the
     ``scipy.linalg`` package import.
     """
-    _, dtrmm = _lapack_blas()
+    from ._compiled import scipy_routine
+
+    dtrmm = scipy_routine("dtrmm")
 
     parts = [np.empty((len(reps) * components, f.shape[0])) for f in factors]
     live = [p for p in parts if p.size]  # a class without sites draws nothing
@@ -392,9 +346,10 @@ def _min_distances(
 ) -> np.ndarray:
     """Per-replicate minimum distance from the sampled field to the target."""
     comps = model.components
+    chunk = max(1, _CHUNK_ROWS // comps)
     out = np.full(n_samples, np.inf)
-    for start in range(0, n_samples, _CHUNK):
-        stop = min(start + _CHUNK, n_samples)
+    for start in range(0, n_samples, chunk):
+        stop = min(start + chunk, n_samples)
         fields = sample_fields(grid, factors, comps, seed, range(start, stop))
         for part in fields:
             size = part.shape[1]

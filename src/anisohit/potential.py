@@ -114,11 +114,14 @@ class Ball(TargetSet):
         ]
         _guard_cover_size(int(np.prod([len(r) for r in ranges])))
         idx = _product_grid([r.astype(float) for r in ranges]).astype(np.int64)
-        # count cells whose closed box touches the ball
+        # a half-open cell meets the closed ball when its closed box comes
+        # nearer than the radius, or reaches it at the box's nearest point
+        # and holds that point: not on an upper face, where center >= lo + side
+        c = np.asarray(self.center)
         lo = idx * side
-        nearest = np.clip(np.asarray(self.center), lo, lo + side)
-        gap = np.linalg.norm(nearest - np.asarray(self.center), axis=1)
-        return int(np.count_nonzero(gap <= self.radius))
+        gap = np.linalg.norm(np.clip(c, lo, lo + side) - c, axis=1)
+        held = np.all(c < lo + side, axis=1)
+        return int(np.count_nonzero((gap < self.radius) | ((gap == self.radius) & held)))
 
 
 @dataclass(frozen=True, eq=False)

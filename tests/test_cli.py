@@ -248,6 +248,8 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         ("polarity", "hurst = 0.9\ncomponents = 4\ngrids = 8x8\nn_samples = 200\n"),
         # tolerances and references that make a row unable to fail, or to pass
         ("capacity", "target = interval\nriesz_beta = 0.3\nexpect_capacity = inf\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\nexpect_capacity = -0.6077\n"),
+        ("capacity", "target = interval\nriesz_beta = 0.3\nexpect_capacity = 0\n"),
         ("capacity", "target = interval\nriesz_beta = 0.3\nexpect_capacity = 0.6\nexpect_rel_tol = inf\n"),
         ("capacity", "target = interval\nriesz_beta = 0.3\nexpect_capacity = 0.6\nexpect_rel_tol = -0.01\n"),
         ("capacity", "target = interval\nriesz_beta = 0.3\ntol = inf\n"),
@@ -263,6 +265,7 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         ("metric-equivalence", "hurst = 0.75\nband_limit = inf\n"),
         ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\nslope_tol = inf\n"),
         ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = inf\n"),
+        ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = -1\n"),
         ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = 1\nexpect_factor = inf\n"),
     ],
     ids=[
@@ -273,10 +276,11 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         "expect-factor-below-1", "n-cells-huge", "homogeneity-cells-huge", "hit-mc-samples-huge",
         "small-ball-samples-huge", "polarity-samples-huge", "n-pairs-huge", "grid-size-huge", "t1-inf",
         "box-radius-inf", "hausdorff-eps-inf", "gauge-gamma-inf", "gauge-gamma-nan", "small-ball-eps-inf",
-        "polarity-one-grid", "expect-capacity-inf", "expect-rel-tol-inf", "expect-rel-tol-negative", "tol-inf",
+        "polarity-one-grid", "expect-capacity-inf", "expect-capacity-negative", "expect-capacity-0",
+        "expect-rel-tol-inf", "expect-rel-tol-negative", "tol-inf",
         "tol-0", "growth-limit-inf", "growth-limit-rel-tol-inf", "rel-tol-inf", "rel-tol-negative",
         "temporal-tol-inf", "spatial-tol-negative", "spatial-tol-nan", "residual-ratio-min-minus-inf",
-        "band-limit-inf", "slope-tol-inf", "expect-value-inf", "expect-factor-inf",
+        "band-limit-inf", "slope-tol-inf", "expect-value-inf", "expect-value-negative", "expect-factor-inf",
     ],
 )
 def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
@@ -405,9 +409,9 @@ def _assert_unloaded(module):
 
 
 # scipy.stats costs about a second of start-up, scipy.special about half of
-# one and scipy.linalg a quarter; alpha > 0 models import scipy.special
-# themselves, and the sampler loads two compiled modules of scipy.linalg
-# without the package, so importing anisohit loads none of them
+# one and scipy.linalg a quarter; the sampler and alpha > 0 models load the
+# compiled modules they need without these packages, and only when they
+# run, so importing anisohit loads none of them
 @pytest.mark.parametrize("module", ["scipy.stats", "scipy.linalg", "scipy.special"])
 def test_package_import_leaves_scipy_module_unloaded(module):
     proc = _fresh_interpreter(
@@ -447,10 +451,12 @@ def test_hausdorff_run_on_points_leaves_numpy_ma_unloaded(tmp_path):
 def test_sampler_routines_are_the_ones_scipy_linalg_exports():
     # loaded first, the compiled modules are what the package later re-exports
     proc = _fresh_interpreter(
-        "from anisohit.mc import _lapack_blas\n"
-        "dpotrf, dtrmm = _lapack_blas()\n"
+        "import scipy\n"
+        "from anisohit._compiled import scipy_routine\n"
+        "dpotrf, dtrmm = scipy_routine('dpotrf'), scipy_routine('dtrmm')\n"
         + _assert_unloaded("scipy.linalg")
-        + "import scipy.linalg\n"
+        + "assert 'linalg' not in vars(scipy)\n"  # the stand-in package is gone
+        "import scipy.linalg\n"
         "assert dpotrf is scipy.linalg.lapack.dpotrf and dtrmm is scipy.linalg.blas.dtrmm\n"
     )
     assert proc.returncode == 0, proc.stderr
@@ -471,12 +477,24 @@ def test_white_noise_model_and_log_gauges_leave_scipy_special_unloaded():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_coloured_noise_model_loads_scipy_special():
-    # negative control: the guard above can fail
+# what the scipy.special package import pulls in, and hyp1f1 does not need
+_SPECIAL_PACKAGE = ["scipy.special", "scipy._lib._array_api", "numpy.f2py", "numpy.testing", "numpy.ma"]
+
+
+def test_coloured_noise_model_loads_hyp1f1_without_scipy_special():
     proc = _fresh_interpreter(
+        "import scipy\n"
         "from anisohit.heat import HeatModel\n"
         "assert HeatModel(hurst=0.8, alpha=0.5, space_dim=2).variance_const > 0.0\n"
-        + _assert_unloaded("scipy.special")
+        "hyp1f1 = sys.modules['scipy.special._ufuncs'].hyp1f1\n"
+        + "".join(_assert_unloaded(module) for module in _SPECIAL_PACKAGE)
+        + "assert 'special' not in vars(scipy)\n"  # the stand-in package is gone
+        # negative control: the package import loads them all, and re-exports
+        # the ufunc the model used
+        "import scipy.special\n"
+        f"assert all(module in sys.modules for module in {_SPECIAL_PACKAGE!r})\n"
+        "assert scipy.special.hyp1f1 is hyp1f1\n"
     )
-    assert proc.returncode != 0
-    assert "AssertionError" in proc.stderr and "scipy.special" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+
+

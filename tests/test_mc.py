@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import anisohit.mc
+from anisohit import _compiled
 from anisohit.errors import ConfigurationError, FactorizationError, InsufficientResolutionError
 from anisohit.heat import HeatModel, covariance_matrix, model_gauges, separations
 from anisohit.mc import (
@@ -308,22 +309,25 @@ def test_factor_of_a_plane_grid_holds_no_site_pair_table():
     assert peak <= 96e6
 
 
-def test_min_distances_hold_one_chunk():
-    # each chunk of field values is let go before the next is drawn; holding
-    # the previous one while sampling would double the traced peak
-    m = _model(components=2)
+@pytest.mark.parametrize("components", [2, 4])
+def test_min_distances_hold_one_chunk(components):
+    # each chunk of field values is let go before the next is drawn, and a
+    # chunk is sized in (replicate, component) rows: holding the previous one
+    # while sampling, or 256 replicates at D = 4, would double the traced peak
+    m = _model(components=components)
     grid = SampleGrid.regular(m, 16, 16)
     factors = factor_covariance(m, grid)
-    target = Ball(center=(0.1, -0.2), radius=0.3)
+    target = Ball(center=(0.1, -0.2, 0.0, 0.3)[:components], radius=0.3)
     _min_distances(m, grid, factors, target, n_samples=100, seed=1)  # warms up untraced
-    n_samples = 2 * anisohit.mc._CHUNK + 17  # the last chunk is short
+    chunk = anisohit.mc._CHUNK_ROWS // components
+    n_samples = 2 * chunk + 17  # the last chunk is short
     tracemalloc.start()
     try:
         _min_distances(m, grid, factors, target, n_samples=n_samples, seed=5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    chunk_bytes = anisohit.mc._CHUNK * m.components * grid.n_points * 8
+    chunk_bytes = anisohit.mc._CHUNK_ROWS * grid.n_points * 8
     assert peak <= 1.5 * chunk_bytes
 
 
@@ -430,28 +434,40 @@ def test_indefinite_covariance_raises(monkeypatch):
 
 
 def test_public_scipy_modules_serve_when_the_compiled_files_are_not_found(monkeypatch):
-    # scipy's file layout is private; without the files, the routines come
-    # from scipy.linalg itself and give the same bits
+    # scipy's module layout is private; when the compiled modules cannot be
+    # imported on their own, the routines come from the public packages and
+    # give the same bits
     m = _model()
     grid = SampleGrid.regular(m, 3, 4)
     factors = factor_covariance(m, grid)
     fields = sample_fields(grid, factors, 2, 7, [0, 5])
+    coloured = HeatModel(hurst=0.8, alpha=0.5, space_dim=2)
+    x = np.linspace(0.0, 500.0, 101)
+    kummer = coloured._kummer(x)
     asked = []
 
-    def not_found(stem):
-        asked.append(stem)
-        return None
+    def not_found(name):
+        asked.append(name)
+        raise ImportError(name)
 
-    monkeypatch.setattr(anisohit.mc, "_linalg_extension", not_found)
-    anisohit.mc._lapack_blas.cache_clear()
+    monkeypatch.setattr(_compiled, "_load", not_found)
+    _compiled.scipy_routine.cache_clear()
     try:
         for got, want in zip(factor_covariance(m, grid), factors, strict=True):
             assert np.array_equal(got, want)
         for got, want in zip(sample_fields(grid, factors, 2, 7, [0, 5]), fields, strict=True):
             assert np.array_equal(got, want)
+        assert np.array_equal(coloured._kummer(x), kummer)
+        import scipy.linalg.blas
+        import scipy.linalg.lapack
+        import scipy.special
+
+        assert _compiled.scipy_routine("dpotrf") is scipy.linalg.lapack.dpotrf
+        assert _compiled.scipy_routine("dtrmm") is scipy.linalg.blas.dtrmm
+        assert _compiled.scipy_routine("hyp1f1") is scipy.special.hyp1f1
     finally:
-        anisohit.mc._lapack_blas.cache_clear()
-    assert asked
+        _compiled.scipy_routine.cache_clear()
+    assert sorted(asked) == ["scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.special._ufuncs"]
 
 
 # -- keyed randomness ------------------------------------------------------------------

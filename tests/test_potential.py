@@ -108,15 +108,44 @@ def test_dyadic_cover_counts():
     assert ball.dyadic_count(0.5) == 3
 
 
-@pytest.mark.parametrize("center, radius, side", [((0.0, 0.0), 0.4, 1.0 / 16.0), ((0.3, -0.2, 0.1), 0.25, 0.125)])
-def test_ball_cover_counts_cells_whose_closed_box_touches_it(center, radius, side):
-    # every cell of the bounding range, tested one at a time
-    c = np.asarray(center)
-    axes = [range(math.floor((v - radius) / side), math.floor((v + radius) / side) + 1) for v in center]
-    want = 0
-    for idx in itertools.product(*axes):
-        lo = np.asarray(idx) * side
-        want += np.linalg.norm(np.maximum(np.maximum(lo - c, c - lo - side), 0.0)) <= radius
+def _half_open_cell_meets_ball(idx, side, center, radius):
+    # axis by axis, the nearest point of the cell's closed box to the center;
+    # the half-open cell holds it unless it sits on an upper face, which is
+    # where the center lies at or beyond the cell's upper end
+    gaps, held = [], True
+    for k, v in zip(idx, center):
+        lo, hi = k * side, (k + 1) * side
+        if v < lo:
+            gaps.append(lo - v)
+        elif v >= hi:
+            gaps.append(v - hi)
+            held = False
+        else:
+            gaps.append(0.0)
+    gap = np.linalg.norm(gaps)
+    return gap < radius or (gap == radius and held)
+
+
+@pytest.mark.parametrize(
+    "center, radius, side, count",
+    [
+        ((0.0, 0.0), 0.4, 1.0 / 16.0, None),
+        ((0.3, -0.2, 0.1), 0.25, 0.125, None),
+        # [1, 2) x [-1, 0) and [-1, 0) x [1, 2) touch the disk only at (1, 0)
+        # and (0, 1), which they exclude; their closed boxes made the count 8
+        ((0.0, 0.0), 1.0, 1.0, 6),
+        ((0.0, 0.0, 0.0), 1.0, 1.0, None),
+        ((0.0,), 1.0, 1.0, 3),  # [-1, 0), [0, 1) and [1, 2), which holds 1
+        ((0.0,), 1.0, 0.5, 5),
+        ((0.25, 0.5), 0.0, 0.25, 1),  # a point lies in exactly one cell
+    ],
+)
+def test_ball_cover_counts_half_open_cells_that_meet_it(center, radius, side, count):
+    # every cell of a range around the ball, tested one at a time
+    axes = [range(math.floor((v - radius) / side) - 1, math.floor((v + radius) / side) + 2) for v in center]
+    want = sum(_half_open_cell_meets_ball(idx, side, center, radius) for idx in itertools.product(*axes))
+    if count is not None:
+        assert want == count
     assert Ball(center=center, radius=radius).dyadic_count(side) == want
 
 
