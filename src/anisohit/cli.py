@@ -188,6 +188,15 @@ def _finite(key: str, value: float | None, least: float = -math.inf) -> float | 
     return value
 
 
+def _flag(key: str, value: int | None) -> int | None:
+    """``value`` of config key ``key``, which must be 0 or 1 when given: a
+    flag row compares a yes/no verdict with it, so any other number would be
+    written as the reference of a row that passes."""
+    if value not in (None, 0, 1):
+        raise ConfigurationError(f"config key {key!r} must be 0 or 1, got {value!r}")
+    return value
+
+
 def _float_list(text: str) -> list:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
 
@@ -266,7 +275,7 @@ def _run_gauge_check(cfg: ConfigReader, seed: int) -> list[ReportRow]:
         diam_cap=cfg.float("diam_cap", _REQUIRED),
     )
     grid_size = cfg.int("grid_size", 200)
-    expect_increasing = cfg.int("expect_increasing", 1)
+    expect_increasing = _flag("expect_increasing", cfg.int("expect_increasing", 1))
     limit_ref = _finite("growth_limit", cfg.float("growth_limit", None))
     limit_tol = _finite("growth_limit_rel_tol", cfg.float("growth_limit_rel_tol", 0.02), 0.0)
     cfg.reject_unknown()
@@ -325,7 +334,7 @@ def _run_metric_equivalence(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     n_pairs = cfg.int("n_pairs", 1000)
     if n_pairs < 2:  # one pair's band is 1 whatever the metric
         raise ConfigurationError(f"config key 'n_pairs' must be at least 2, got {n_pairs}")
-    band_limit = _finite("band_limit", cfg.float("band_limit", 50.0))
+    band_limit = _finite("band_limit", cfg.float("band_limit", 50.0), 1.0)  # the band is a max/min ratio
     cfg.reject_unknown()
 
     system = model_gauges(model)
@@ -351,7 +360,7 @@ def _run_rates(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     model = _model_from(cfg)
     tol_t = _finite("temporal_tol", cfg.float("temporal_tol", 0.02), 0.0)
     tol_x = _finite("spatial_tol", cfg.float("spatial_tol", 0.03), 0.0)
-    ratio_min = _finite("residual_ratio_min", cfg.float("residual_ratio_min", 5.0))
+    ratio_min = _positive("residual_ratio_min", cfg.float("residual_ratio_min", 5.0))  # a ratio of RMS residuals
     cfg.reject_unknown()
 
     params = f"H={model.hurst:g};alpha={model.alpha:g};d={model.space_dim}"
@@ -522,7 +531,7 @@ def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     center = cfg.floats("center", [1.5] * model.components)
     shapes_raw = cfg.str("grids", "8x8,16x16,32x32")
     n_samples = cfg.int("n_samples", 2000)
-    expect_polar = cfg.int("expect_polar", None)
+    expect_polar = _flag("expect_polar", cfg.int("expect_polar", None))
     cfg.reject_unknown()
 
     try:
@@ -578,7 +587,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument("pipeline", choices=PIPELINES)
     parser.add_argument("--config", required=True, help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed, in [0, 2**64)")
     parser.add_argument("--out", default=".", help="directory for the CSV report")
     args = parser.parse_args(argv)
 
@@ -589,6 +598,8 @@ def main(argv=None) -> int:
         seed = cfg.int("seed", 0)
         if args.seed is not None:
             seed = args.seed
+        if not 0 <= seed < 2**64:  # Philox keys are uint64
+            raise ConfigurationError(f"the seed must lie in [0, 2**64), got {seed}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         run, blurb = PIPELINES[args.pipeline]

@@ -559,81 +559,25 @@ def model_gauges(model: HeatModel) -> GaugeSystem:
     )
 
 
-# -- assembled covariance ------------------------------------------------------
+# -- grid covariance table ----------------------------------------------------
 
 
-def covariance_matrix(model: HeatModel, times: np.ndarray, parity) -> tuple[list[np.ndarray], object]:
-    """One-component covariance over a grid's times x sites, by parity block.
+def covariance_matrix(model: HeatModel, times: np.ndarray, separations: np.ndarray) -> np.ndarray:
+    """One-component covariance at every pair of ``times`` and every separation.
 
-    ``parity`` is ``(separations, tables)`` as ``SampleGrid.parity`` gives
-    it: the grid's distinct site separations, and for each class one
-    (sign, table) per reflection of the sites, the table indexing the
-    separations between the class's sites and their reflected images.
-    Block c is the covariance of class c, rows time-major over its sites;
-    its entry for sites x and y is the signed mean over the reflections of
-    the covariance at the separation of x and the reflected y.
-
-    Only the lower triangle of a block is written, and two consecutive
-    classes of equal size N share one C-ordered (N + 1) x N array: block c
-    is its rows 1..N, a C-ordered view, and block c + 1 the transpose of
-    its rows 0..N-1, a Fortran-ordered view whose lower triangle is the
-    array's diagonal and upper triangle.  The two triangles are disjoint
-    and together fill the array, so a pair takes half the memory of two
-    N x N blocks.  A class without an equal-size neighbour has an N x N
-    array to itself, zero above the diagonal.  Returns the blocks, in class order, and
-    ``refill(c)``, which writes block c's triangle again from the same
-    rule values without touching its partner's.
-
-    Each distinct time pair costs one quadrature rule evaluated against the
-    distinct site separations, so a 64 x 64 grid needs 2080 rules rather
-    than 8.4 million kernel calls.  All pairs go through the batched rule
-    builder at once; each rule value is the scalar kernel's to the bit, and
-    all rules form their spatial factor in one reused buffer, so the
-    assembly allocates no large temporaries besides the blocks and keeps
-    only the rule values (about 1 MB on a 64 x 64 grid) for ``refill``.
+    Row k is the time pair (times[i], times[j]) with i <= j, row-major over
+    the upper triangle ((0, 0), (0, 1), ..., (1, 1), ...); column l is
+    ``separations[l]``.  Each distinct time pair costs one quadrature rule
+    evaluated against all separations at once, so a 64 x 64 grid needs 2080
+    rules rather than 8.4 million kernel calls.  All pairs go through the
+    batched rule builder together; each value is the scalar kernel's to the
+    bit, and all rules form their spatial factor in one reused buffer, so no
+    temporary grows with the table (about 1 MB on a 64 x 64 grid).
     """
     times = np.asarray(times, dtype=float)
-    separations, tables = parity
-    nt = len(times)
-    rows, cols = np.triu_indices(nt)
-    vals = model._cov_pairs(times[rows], times[cols], np.broadcast_to(separations, (rows.size, separations.size)))
-    sizes = [len(terms[0][1]) for terms in tables]
-    out = _packed_blocks([nt * k for k in sizes])
-
-    def refill(c: int) -> None:
-        cov, k = out[c], sizes[c]
-        (sign0, idx0), *rest = tables[c]
-        lower = np.tril_indices(k)
-        pairs = vals
-        for i in range(nt if k else 0):
-            # the blocks (i, j) for j >= i, which are the pairs' next nt - i rows
-            head, pairs = pairs[: nt - i], pairs[nt - i :]
-            blocks = sign0 * head[:, idx0]
-            for sign, idx in rest:
-                blocks += sign * head[:, idx]
-            if rest:
-                blocks *= 1.0 / (1 + len(rest))
-            cov[i * k : (i + 1) * k, i * k : (i + 1) * k][lower] = blocks[0][lower]
-            cov[(i + 1) * k :, i * k : (i + 1) * k] = blocks[1:].transpose(0, 2, 1).reshape(-1, k)
-
-    for c in range(len(tables)):
-        refill(c)
-    return out, refill
-
-
-def _packed_blocks(sizes: list[int]) -> list[np.ndarray]:
-    """Square views for blocks of the given sizes, each consecutive pair of
-    equal size sharing one (N + 1) x N array (see ``covariance_matrix``)."""
-    out: list[np.ndarray] = []
-    while len(out) < len(sizes):
-        c = len(out)
-        n = sizes[c]
-        if c + 1 < len(sizes) and sizes[c + 1] == n:
-            pair = np.empty((n + 1, n))
-            out += [pair[1:], pair[:-1].T]
-        else:
-            out.append(np.zeros((n, n)))
-    return out
+    separations = np.asarray(separations, dtype=float)
+    rows, cols = np.triu_indices(len(times))
+    return model._cov_pairs(times[rows], times[cols], np.broadcast_to(separations, (rows.size, separations.size)))
 
 
 # -- slope experiments ---------------------------------------------------------

@@ -8,16 +8,17 @@ covariance matrix.  That covariance depends on space only through |x - y|,
 so it is unchanged when a spatial axis is reflected, and the site axis is
 its own mirror image: the vector splits exactly into 2^d independent
 reflection-parity classes of about n/2^d points each, and the grid
-covariance into one block per class, read through index tables of
-whole-step offsets over the class's sites (``SampleGrid.parity``).  Each
-block has its own Cholesky factor, computed in place over the assembled
-block (LAPACK ``dpotrf``), which serves every replicate and component; on a
-64 x 64 grid two 2048-point blocks take half the multiply flops of one dense
-factor, and a quarter of its factorization flops.  A block and its factor
-live in one triangle: two classes of equal size share one (N + 1) x N array,
-the first in its lower triangle and the second, transposed, in its upper one
-(``covariance_matrix``), so the two factors of a 64 x 64 grid take 32 MB, a
-quarter of one dense factor.
+covariance into one block per class, which this module lays out: a block's
+entries are signed means of ``heat.covariance_matrix``'s table (every time
+pair by every distinct site separation), read through the class's index
+tables of whole-step offsets (``SampleGrid.parity``).  Class by class, a
+block is filled and factored in place (LAPACK ``dpotrf``), so one class's
+tables are held at a time; the factor serves every replicate and component.
+On a 64 x 64 grid two 2048-point blocks take half the multiply flops of one
+dense factor, and a quarter of its factorization flops.  A block and its
+factor live in one triangle: two classes of equal size share one
+(N + 1) x N array (``_packed_blocks``), so the two factors of a 64 x 64
+grid take 32 MB, a quarter of one dense factor.
 Randomness is counter-based (Philox) and keyed by
 (seed, replicate, component), so estimates do not depend on chunking or
 evaluation order, and any single replicate can be reproduced in isolation.
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -132,41 +134,51 @@ class SampleGrid:
         n = len(self.site_axis)
         return np.arange(n // 2 + odd * (n % 2), n)
 
-    def parity(self) -> tuple[np.ndarray, list[list[tuple[float, np.ndarray]]]]:
-        """The grid's distinct site separations and each class's index tables.
+    def _class_sizes(self) -> list[int]:
+        """Sites of each class, in class order."""
+        halves = [len(self._half_axis(odd)) for odd in (0, 1)]
+        return [math.prod(halves[odd] for odd in sigma) for sigma in self._classes()]
 
-        Along an axis, sites i and j lie i - j steps apart and i + j - (n - 1)
-        steps from each other's mirror image, so |x - eta y|^2 is a whole
-        number S of squared steps for every reflection eta (a flag per axis,
-        1 where the axis is reflected, in class order).  Returns the
-        separations step * sqrt(S) over the grid's distinct S, increasing;
-        and for each class, in class order, one (sign, table) per eta.  The
-        table indexes the separation |x - eta y| for the class's sites x
-        (rows) and y (columns), a product of half axes with the first axis
-        slowest; the sign is -1 when eta reflects an odd number of the
-        class's odd axes.  Class sigma's covariance between sites x and y
-        is the signed mean over eta of cov(x, eta y).
-        """
+    def _squares(self) -> np.ndarray:
+        """The distinct whole numbers S of squared steps between two sites, increasing."""
         n = len(self.site_axis)
         present = np.zeros(self.space_dim * (n - 1) ** 2 + 1, dtype=bool)
         present[sum(np.ix_(*[np.arange(n) ** 2] * self.space_dim))] = True
-        whole = np.flatnonzero(present)
-        rank = np.zeros(len(present), dtype=np.min_scalar_type(len(whole)))  # S -> its index in whole; 2 bytes, not 8
-        rank[whole] = np.arange(len(whole))
+        return np.flatnonzero(present)
+
+    def separations(self) -> np.ndarray:
+        """The grid's distinct site separations, step * sqrt(S), increasing."""
+        n = len(self.site_axis)
         step = (self.site_axis[-1] - self.site_axis[0]) / max(n - 1, 1)
-        tables = []
-        for sigma in self._classes():
-            terms = []
-            for eta in self._classes():
-                squares = np.zeros((1, 1), dtype=int)
-                for odd, flip in zip(sigma, eta):  # axis by axis, the first slowest
-                    a = self._half_axis(odd)
-                    steps = a[:, None] + a - (n - 1) if flip else a[:, None] - a
-                    size = len(squares) * len(a)
-                    squares = (squares[:, None, :, None] + steps[None, :, None, :] ** 2).reshape(size, size)
-                terms.append(((-1.0) ** sum(f * o for f, o in zip(eta, sigma)), rank[squares]))
-            tables.append(terms)
-        return step * np.sqrt(whole), tables
+        return step * np.sqrt(self._squares())
+
+    def parity(self, c: int) -> list[tuple[float, np.ndarray]]:
+        """Class c's index tables into ``separations``: one (sign, table) per
+        reflection eta (a flag per axis, 1 where it is reflected), in class order.
+
+        Along an axis, sites i and j lie i - j steps apart and i + j - (n - 1)
+        steps from each other's mirror image, so |x - eta y|^2 is a whole
+        number of squared steps.  The table indexes |x - eta y| for the
+        class's sites x (rows) and y (columns), a product of half axes with
+        the first axis slowest; the sign is -1 when eta reflects an odd
+        number of the class's odd axes.  The squares' index lookup lives only
+        while the tables are built (34 MB on a 4096-site axis).
+        """
+        n = len(self.site_axis)
+        whole = self._squares()
+        rank = np.zeros(whole[-1] + 1, dtype=np.min_scalar_type(len(whole)))  # S -> its index in whole; 2 bytes, not 8
+        rank[whole] = np.arange(len(whole))
+        sigma = self._classes()[c]
+        terms = []
+        for eta in self._classes():
+            squares = np.zeros((1, 1), dtype=int)
+            for odd, flip in zip(sigma, eta):  # axis by axis, the first slowest
+                a = self._half_axis(odd)
+                steps = a[:, None] + a - (n - 1) if flip else a[:, None] - a
+                size = len(squares) * len(a)
+                squares = (squares[:, None, :, None] + steps[None, :, None, :] ** 2).reshape(size, size)
+            terms.append(((-1.0) ** sum(f * o for f, o in zip(eta, sigma)), rank[squares]))
+        return terms
 
     def unfold(self, parts: list[np.ndarray]) -> None:
         """Turn rows of parity-class values into field values, in place.
@@ -198,23 +210,63 @@ class SampleGrid:
 def factor_covariance(model: HeatModel, grid: SampleGrid) -> list[np.ndarray]:
     """Cholesky factors of the grid covariance's parity blocks, in class order.
 
-    Factor c is the lower triangle of the square view ``factors[c]``; the
-    view's other triangle belongs to the class it shares an array with
-    (see ``covariance_matrix``), or is zero for a class without one.  Each
-    block is factored in place: LAPACK ``dpotrf`` overwrites the block's
-    triangle with the factor and reads nothing outside it, so the packed
-    blocks are the only covariance-sized arrays held.
-    When a clean factorization fails, the triangle is written again from
-    the rule values, its diagonal is lifted by 1e-10 of its largest entry,
-    once more by 1e-9, and then the block is declared numerically
-    singular.  A lift is logged as a warning.  A class without sites has a
-    0 x 0 factor.  ``dpotrf`` is scipy's, loaded by
-    ``_compiled.scipy_routine`` without the ``scipy.linalg`` package import.
+    Factor c is the lower triangle of the square view ``factors[c]`` (see
+    ``_packed_blocks``).  Class by class, the class's tables are built, its
+    block is filled from them (``_fill_block``) and factored in place, and
+    the tables are let go.  LAPACK ``dpotrf`` (scipy's, loaded by
+    ``_compiled.scipy_routine``) overwrites the triangle and reads nothing
+    outside it, so the packed blocks are the only covariance-sized arrays
+    held.  When a clean factorization fails, the triangle is filled again,
+    its diagonal is lifted by 1e-10 of its largest entry, once more by 1e-9,
+    and then the block is declared numerically singular; a lift is logged
+    as a warning.  A class without sites has a 0 x 0 factor.
     """
-    blocks, refill = covariance_matrix(model, np.asarray(grid.times), grid.parity())
+    nt = len(grid.times)
+    table = covariance_matrix(model, np.asarray(grid.times), grid.separations())
+    blocks = _packed_blocks([nt * k for k in grid._class_sizes()])
     for c, block in enumerate(blocks):
-        _factor_in_place(block, lambda: refill(c))
+        _factor_in_place(block, partial(_fill_block, block, table, grid.parity(c)))
     return blocks
+
+
+def _packed_blocks(sizes: list[int]) -> list[np.ndarray]:
+    """Square views whose lower triangles hold blocks of the given sizes.
+
+    Two consecutive blocks of equal size N share one C-ordered (N + 1) x N
+    array: the first is its rows 1..N, the second the transpose of its rows
+    0..N-1, whose lower triangle is the array's diagonal and upper triangle.
+    Any other block has an N x N array to itself, zero above the diagonal."""
+    out: list[np.ndarray] = []
+    while len(out) < len(sizes):
+        c = len(out)
+        n = sizes[c]
+        if c + 1 < len(sizes) and sizes[c + 1] == n:
+            pair = np.empty((n + 1, n))
+            out += [pair[1:], pair[:-1].T]
+        else:
+            out.append(np.zeros((n, n)))
+    return out
+
+
+def _fill_block(block: np.ndarray, table: np.ndarray, terms: list[tuple[float, np.ndarray]]) -> None:
+    """Write one class's covariance, time-major over its sites, into the
+    lower triangle of its block and nowhere else: the signed mean of
+    ``covariance_matrix``'s ``table`` over the class's ``parity`` terms."""
+    k = len(terms[0][1])
+    nt = len(block) // k if k else 0
+    (sign0, idx0), *rest = terms
+    lower = np.tril_indices(k)
+    pairs = table
+    for i in range(nt):
+        # the blocks (i, j) for j >= i, which are the pairs' next nt - i rows
+        head, pairs = pairs[: nt - i], pairs[nt - i :]
+        blocks = sign0 * head[:, idx0]
+        for sign, idx in rest:
+            blocks += sign * head[:, idx]
+        if rest:
+            blocks *= 1.0 / (1 + len(rest))
+        block[i * k : (i + 1) * k, i * k : (i + 1) * k][lower] = blocks[0][lower]
+        block[(i + 1) * k :, i * k : (i + 1) * k] = blocks[1:].transpose(0, 2, 1).reshape(-1, k)
 
 
 def _lower_operand(block: np.ndarray) -> tuple[np.ndarray, int]:
@@ -224,16 +276,18 @@ def _lower_operand(block: np.ndarray) -> tuple[np.ndarray, int]:
     return (block.T, 0) if block.flags.c_contiguous else (block, 1)
 
 
-def _factor_in_place(block: np.ndarray, refill) -> None:
+def _factor_in_place(block: np.ndarray, fill) -> None:
+    """Factor the block that ``fill()`` writes, filling it again before each lift."""
     from ._compiled import scipy_routine
 
     dpotrf = scipy_routine("dpotrf")
     a, lower = _lower_operand(block)
     n = block.shape[0]
+    fill()
     scale = float(np.max(np.diagonal(block), initial=0.0))
     for rel in (0.0, 1e-10, 1e-9):
         if rel:
-            refill()
+            fill()
             block[range(n), range(n)] += rel * scale
         info = dpotrf(a, lower=lower, overwrite_a=1, clean=0)[1]
         if info == 0:

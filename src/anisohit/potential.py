@@ -319,7 +319,6 @@ class PotentialKernel:
 
     radial_profile: Callable[[np.ndarray], np.ndarray]
     integrable_at_zero: bool
-    name: str = ""
 
 
 def riesz_kernel(beta: float, ambient_dim: int) -> PotentialKernel:
@@ -334,7 +333,7 @@ def riesz_kernel(beta: float, ambient_dim: int) -> PotentialKernel:
         with np.errstate(divide="ignore"):
             return rr ** (-beta)
 
-    return PotentialKernel(profile, integrable_at_zero=beta < ambient_dim, name=f"riesz-{beta:g}")
+    return PotentialKernel(profile, integrable_at_zero=beta < ambient_dim)
 
 
 def kernel_from_gauge(system: GaugeSystem, ambient_dim: int | None = None) -> PotentialKernel:
@@ -359,11 +358,7 @@ def kernel_from_gauge(system: GaugeSystem, ambient_dim: int | None = None) -> Po
         out[pos] = 1.0 / system.hausdorff_gauge(rr[pos])
         return out
 
-    return PotentialKernel(
-        profile,
-        integrable_at_zero=system.power_exponent < ambient_dim,
-        name="gauge-kernel",
-    )
+    return PotentialKernel(profile, integrable_at_zero=system.power_exponent < ambient_dim)
 
 
 # -- capacity ------------------------------------------------------------------

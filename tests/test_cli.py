@@ -267,6 +267,12 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = inf\n"),
         ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = -1\n"),
         ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = 0.1, 0.01\nexpect_value = 1\nexpect_factor = inf\n"),
+        # a flag's reference other than 0 or 1 is written out and passes
+        ("gauge-check", _GAUGES + "expect_increasing = 7\n"),
+        ("polarity", "hurst = 0.9\ncomponents = 4\ngrids = 8x8,16x16\nn_samples = 200\nexpect_polar = 3\n"),
+        # a max/min band below 1 always fails; a negative ratio floor always passes
+        ("metric-equivalence", "hurst = 0.75\nband_limit = 0.5\n"),
+        ("rates", "hurst = 0.75\nresidual_ratio_min = -1\n"),
     ],
     ids=[
         "beta-nan", "tol-nan", "interval-nan", "eps-nan", "n-samples-0", "n-samples-negative",
@@ -281,6 +287,7 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         "tol-0", "growth-limit-inf", "growth-limit-rel-tol-inf", "rel-tol-inf", "rel-tol-negative",
         "temporal-tol-inf", "spatial-tol-negative", "spatial-tol-nan", "residual-ratio-min-minus-inf",
         "band-limit-inf", "slope-tol-inf", "expect-value-inf", "expect-value-negative", "expect-factor-inf",
+        "expect-increasing-7", "expect-polar-3", "band-limit-below-1", "residual-ratio-min-negative",
     ],
 )
 def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
@@ -371,6 +378,32 @@ def test_seed_flag_overrides_the_config(tmp_path):
     )
     assert main(["hit-mc", "--config", cfg, "--seed", "7", "--out", str(tmp_path)]) == 0
     assert ";seed=7" in (tmp_path / "hit-mc.csv").read_text()
+
+
+_SEEDED = {
+    "metric-equivalence": "hurst = 0.75\nn_pairs = 10\n",
+    "hit-mc": "hurst = 0.7\nn_times = 4\nn_sites = 4\ntarget = ball\ntarget_center = 0\ntarget_radius = 0.4\nn_samples = 200\n",
+}
+
+
+@pytest.mark.parametrize("pipeline", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["minus-1", "2^64"])
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_seed_outside_the_philox_key_range_exits_2(tmp_path, capsys, pipeline, seed, where):
+    # Philox keys are uint64; -1 once left metric-equivalence in a traceback
+    # (exit 1, the code of a failed row) and hit-mc in exit 3
+    text = _SEEDED[pipeline] + (f"seed = {seed}\n" if where == "config" else "")
+    flag = ["--seed", str(seed)] if where == "flag" else []
+    assert main([pipeline, "--config", _write(tmp_path, text), *flag, "--out", str(tmp_path)]) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and "seed" in line
+    assert not (tmp_path / f"{pipeline}.csv").exists()
+
+
+def test_the_largest_philox_key_is_a_seed(tmp_path):
+    cfg = _write(tmp_path, _SEEDED["hit-mc"])
+    assert main(["hit-mc", "--config", cfg, "--seed", str(2**64 - 1), "--out", str(tmp_path)]) == 0
+    assert f";seed={2**64 - 1}" in (tmp_path / "hit-mc.csv").read_text()
 
 
 def test_hausdorff_pipeline_smoke(tmp_path):

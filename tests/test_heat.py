@@ -1,6 +1,5 @@
 """Covariance model: variance scaling, frozen oracles, metric structure."""
 
-import itertools
 import math
 
 import numpy as np
@@ -18,7 +17,6 @@ from anisohit.heat import (
     spatial_slope,
     temporal_slope,
 )
-from anisohit.mc import SampleGrid
 
 # Oracle values frozen from two independent computations: the variance
 # constant kappa from its hypergeometric closed form evaluated with mpmath
@@ -166,16 +164,13 @@ def test_rule_matches_quadrature_oracle(h, t, ratio, refs):
 
 @pytest.mark.parametrize("h,t,ratio,refs", RULE_ORACLE)
 def test_covariance_matrix_matches_quadrature_oracle(h, t, ratio, refs):
-    # the public matrix path over every RULE_ORACLE pair; at |t - s| = 1e-5 t
-    # the weight's cusp at r = |t - s| sits far below the r-half segment
+    # the public table over every RULE_ORACLE pair; at |t - s| = 1e-5 t the
+    # weight's cusp at r = |t - s| sits far below the r-half segment
     # [|t - s|, min(t, s)], where a rule that halves only in steps of the
-    # segment span never reaches it.  One class of three sites, the first
-    # RULE_RHOS from each; the other entries only fill the table
-    table = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-    parity = (np.array(RULE_RHOS), [[(1.0, table)]])
-    [cov], _ = covariance_matrix(_model(h, 1, 0.0), np.array([t, t * ratio]), parity)
-    np.testing.assert_allclose(cov[3:, 0], refs, rtol=RULE_TOL[h], atol=0.0)
-    np.testing.assert_allclose(cov[3, :3], refs, rtol=RULE_TOL[h], atol=0.0)
+    # segment span never reaches it.  Rows (t, t), (t, s), (s, s)
+    table = covariance_matrix(_model(h, 1, 0.0), np.array([t, t * ratio]), np.array(RULE_RHOS))
+    assert table.shape == (3, len(RULE_RHOS))
+    np.testing.assert_allclose(table[1], refs, rtol=RULE_TOL[h], atol=0.0)
 
 
 def test_rule_depth_set_for_a_smoother_cusp_misses_the_oracle():
@@ -344,73 +339,22 @@ def test_kummer_asymptotic_meets_hypergeometric_branch():
     assert 0.0 < direct < 1.0
 
 
-# -- assembled covariance matrices -------------------------------------------------
-
-
-def _blocks(model, grid):
-    """The parity blocks of ``covariance_matrix`` on the grid, each made
-    symmetric from its lower triangle."""
-    blocks, _ = covariance_matrix(model, np.asarray(grid.times), grid.parity())
-    return [np.tril(b) + np.tril(b, -1).T for b in blocks]
-
-
-def test_covariance_matrix_is_symmetric_positive_semidefinite():
-    m = HeatModel(hurst=0.7, t0=0.2, t1=1.0, box_radius=0.5)
-    grid = SampleGrid.regular(m, 4, 5)
-    # every index table is symmetric, so a block's lower triangle holds it
-    for terms in grid.parity()[1]:
-        assert all(np.array_equal(idx, idx.T) for _, idx in terms)
-    blocks = _blocks(m, grid)
-    assert [len(b) for b in blocks] == [12, 8]  # sites x >= 0 and x > 0, four times each
-    for cov in blocks:
-        eig = np.linalg.eigvalsh(cov)
-        assert eig.min() > -1e-12 * eig.max()
-
-
-def test_covariance_matrix_blocks_match_pointwise_kernel():
-    # each entry is its definition: the signed mean over the reflections eta
-    # of the scalar kernel at the coordinate separation |x - eta y|
-    m = HeatModel(hurst=0.75, space_dim=2, t0=0.3, t1=0.8, box_radius=0.4)
-    grid = SampleGrid.regular(m, 2, 3)
-    axis = np.asarray(grid.site_axis)
-    blocks = _blocks(m, grid)
-    classes = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for cov, sigma in zip(blocks, classes):
-        halves = [axis[axis > 0.0] if odd else axis[axis >= 0.0] for odd in sigma]
-        sites = [np.array(x) for x in itertools.product(*halves)]
-        k = len(sites)
-        for i, t in enumerate(grid.times):
-            for j, s in enumerate(grid.times):
-                for a, x in enumerate(sites):
-                    for b, y in enumerate(sites):
-                        ref = 0.0
-                        for eta in classes:
-                            flip = np.where(eta, -1.0, 1.0)
-                            sign = (-1.0) ** sum(f * o for f, o in zip(eta, sigma))
-                            ref += sign * m._cov_batch(t, s, separations(x[None, :], (flip * y)[None, :]))[0] / 4
-                        assert cov[i * k + a, j * k + b] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+# -- the covariance table ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
-def test_covariance_matrix_blocks_equal_the_scalar_kernel_bit_for_bit(alpha):
-    # the matrix reuses one buffer across rules; every block must still be
-    # exactly the signed mean of what fresh-buffer calls of the same kernel return
+def test_covariance_matrix_equals_the_scalar_kernel_bit_for_bit(alpha):
+    # the table reuses one buffer across rules; every row must still be
+    # exactly what a fresh-buffer call of the same kernel returns, row k
+    # being the k-th time pair i <= j in row-major order
     m = _model(0.8, 1, alpha)
-    grid = SampleGrid.regular(m, 5, 4)
-    times = np.asarray(grid.times)
-    seps, tables = grid.parity()
-    blocks, _ = covariance_matrix(m, times, (seps, tables))
-    for cov, terms in zip(blocks, tables):
-        k = len(terms[0][1])
-        lower = np.tril_indices(k)
-        for i in range(5):
-            for j in range(i, 5):
-                vals = m._cov_batch(times[i], times[j], seps)
-                block = sum(sign * vals[idx] for sign, idx in terms) / len(terms)
-                if i == j:
-                    assert np.array_equal(cov[k * i : k * i + k, k * i : k * i + k][lower], block[lower])
-                else:
-                    assert np.array_equal(cov[k * j : k * j + k, k * i : k * i + k], block.T)
+    times = np.array([0.1, 0.325, 0.55, 0.775, 1.0])
+    seps = np.array([0.0, 1e-3, 0.25, 0.5, 1.3])
+    table = covariance_matrix(m, times, seps)
+    pairs = [(i, j) for i in range(len(times)) for j in range(i, len(times))]
+    assert table.shape == (len(pairs), len(seps))
+    for row, (i, j) in zip(table, pairs):
+        assert np.array_equal(row, m._cov_batch(times[i], times[j], seps))
 
 
 # time pairs that take every branch of the rule builder: equal times, the
@@ -484,14 +428,6 @@ def test_clean_metric_batch_logs_nothing(caplog):
         vals = m.metrics(np.array([0.1, 0.5, 0.3]), np.array([0.2, 0.5, 0.9]), np.array([0.0, 0.1, 0.4]))
     assert np.all(vals > 0.0)
     assert caplog.records == []
-
-
-def test_covariance_matrix_diagonal_is_the_variance():
-    m = HeatModel(hurst=0.6, t0=0.4, t1=0.9)
-    cov, odd = _blocks(m, SampleGrid.regular(m, 2, 1))  # the one site x = 0 is even
-    assert odd.shape == (0, 0)
-    assert cov[0, 0] == pytest.approx(m.variance(0.4), rel=1e-12)
-    assert cov[1, 1] == pytest.approx(m.variance(0.9), rel=1e-12)
 
 
 # -- gauges and envelope -------------------------------------------------------------

@@ -14,7 +14,9 @@ from anisohit.errors import ConfigurationError, FactorizationError, Insufficient
 from anisohit.heat import HeatModel, covariance_matrix, model_gauges, separations
 from anisohit.mc import (
     SampleGrid,
+    _fill_block,
     _min_distances,
+    _packed_blocks,
     estimate_hit_prob,
     factor_covariance,
     mesh_inflation,
@@ -193,7 +195,8 @@ def test_parity_tables_index_the_coordinate_separations(kw, shape):
     # the sign of eta in the class, and every separation is some pair's
     m = _model(**kw)
     grid = SampleGrid.regular(m, *shape)
-    seps, tables = grid.parity()
+    seps = grid.separations()
+    tables = [grid.parity(c) for c in range(2**grid.space_dim)]
     assert seps[0] == 0.0 and np.all(np.diff(seps) > 0.0)
     classes = list(itertools.product((0, 1), repeat=grid.space_dim))
     used = np.zeros(len(seps), dtype=bool)
@@ -207,6 +210,78 @@ def test_parity_tables_index_the_coordinate_separations(kw, shape):
             np.testing.assert_allclose(seps[idx], want, rtol=1e-15, atol=1e-15 * m.box_radius)
             used[idx] = True
     assert used.all()
+
+
+def _filled(m, grid):
+    """The parity blocks as ``_fill_block`` writes them from the grid's
+    covariance table, each made symmetric from its lower triangle."""
+    table = covariance_matrix(m, np.asarray(grid.times), grid.separations())
+    blocks = _packed_blocks([len(grid.times) * k for k in grid._class_sizes()])
+    for c, block in enumerate(blocks):
+        _fill_block(block, table, grid.parity(c))
+    return [np.tril(b) + np.tril(b, -1).T for b in blocks]
+
+
+def test_filled_blocks_are_symmetric_positive_semidefinite():
+    m = HeatModel(hurst=0.7, t0=0.2, t1=1.0, box_radius=0.5)
+    grid = SampleGrid.regular(m, 4, 5)
+    # every index table is symmetric, so a block's lower triangle holds it
+    for c in range(2):
+        assert all(np.array_equal(idx, idx.T) for _, idx in grid.parity(c))
+    blocks = _filled(m, grid)
+    assert [len(b) for b in blocks] == [12, 8]  # sites x >= 0 and x > 0, four times each
+    for cov in blocks:
+        eig = np.linalg.eigvalsh(cov)
+        assert eig.min() > -1e-12 * eig.max()
+
+
+def test_filled_blocks_match_pointwise_kernel():
+    # each entry is its definition: the signed mean over the reflections eta
+    # of the scalar kernel at the coordinate separation |x - eta y|
+    m = HeatModel(hurst=0.75, space_dim=2, t0=0.3, t1=0.8, box_radius=0.4)
+    grid = SampleGrid.regular(m, 2, 3)
+    blocks = _filled(m, grid)
+    classes = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    for cov, sigma in zip(blocks, classes):
+        sites = _class_sites(grid, sigma)
+        k = len(sites)
+        for i, t in enumerate(grid.times):
+            for j, s in enumerate(grid.times):
+                for a, x in enumerate(sites):
+                    for b, y in enumerate(sites):
+                        ref = 0.0
+                        for eta in classes:
+                            flip = np.where(eta, -1.0, 1.0)
+                            sign = (-1.0) ** sum(f * o for f, o in zip(eta, sigma))
+                            ref += sign * m._cov_batch(t, s, separations(x[None, :], (flip * y)[None, :]))[0] / 4
+                        assert cov[i * k + a, j * k + b] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_filled_blocks_equal_the_scalar_kernel_bit_for_bit(alpha):
+    # the table reuses one buffer across rules; every block must still be
+    # exactly the signed mean of what fresh-buffer calls of the same kernel return
+    m = HeatModel(hurst=0.8, alpha=alpha)
+    grid = SampleGrid.regular(m, 5, 4)
+    times, seps = np.asarray(grid.times), grid.separations()
+    for cov, c in zip(_filled(m, grid), range(2)):
+        terms = grid.parity(c)
+        k = len(terms[0][1])
+        for i in range(5):
+            for j in range(i, 5):
+                vals = m._cov_batch(times[i], times[j], seps)
+                block = sum(sign * vals[idx] for sign, idx in terms) / len(terms)
+                assert np.array_equal(cov[k * j : k * j + k, k * i : k * i + k], block.T)
+                if i == j:
+                    assert np.array_equal(np.tril(cov[k * i : k * i + k, k * i : k * i + k]), np.tril(block))
+
+
+def test_filled_diagonal_is_the_variance():
+    m = HeatModel(hurst=0.6, t0=0.4, t1=0.9)
+    cov, odd = _filled(m, SampleGrid.regular(m, 2, 1))  # the one site x = 0 is even
+    assert odd.shape == (0, 0)
+    assert cov[0, 0] == pytest.approx(m.variance(0.4), rel=1e-12)
+    assert cov[1, 1] == pytest.approx(m.variance(0.9), rel=1e-12)
 
 
 @pytest.mark.parametrize("kw, shape", PARITY_GRIDS, ids=PARITY_IDS)
@@ -247,8 +322,10 @@ def test_parity_check_rejects_a_wrong_sign_or_a_dropped_mirror_term(kw, shape):
     times = np.asarray(grid.times)
     dense = _dense(m, grid)
     assert _parity_error(grid, factors, dense, mirror_sign=1.0) > 1e-3
-    seps, tables = grid.parity()
-    dropped, _ = covariance_matrix(m, times, (seps, [terms[:1] for terms in tables]))
+    table = covariance_matrix(m, times, grid.separations())
+    dropped = _packed_blocks([len(f) for f in factors])
+    for c, block in enumerate(dropped):
+        _fill_block(block, table, grid.parity(c)[:1])
     factors = [np.linalg.cholesky(b) if b.size else b for b in dropped]  # reads the lower triangle
     assert _parity_error(grid, factors, dense) > 1e-3
 
@@ -259,16 +336,16 @@ def test_a_class_reads_nothing_of_its_partners_triangle(monkeypatch, kw, shape):
     # grid factors and samples to the same bits, and finite
     m = _model(**kw)
     grid = SampleGrid.regular(m, *shape)
-    times, parity = np.asarray(grid.times), grid.parity()
+    table = covariance_matrix(m, np.asarray(grid.times), grid.separations())
     want = factor_covariance(m, grid)
     monkeypatch.setattr(SampleGrid, "unfold", lambda self, parts: None)  # class values, not field values
     want_parts = sample_fields(grid, want, 2, 7, [0, 5])
     for c in range(len(want)):
-        blocks, refill = covariance_matrix(m, times, parity)
+        blocks = _packed_blocks([len(f) for f in want])
         partner = blocks[c ^ 1]
         assert partner.base is blocks[c].base
         partner[np.tril_indices(len(partner))] = np.nan
-        anisohit.mc._factor_in_place(blocks[c], lambda: refill(c))
+        anisohit.mc._factor_in_place(blocks[c], lambda: _fill_block(blocks[c], table, grid.parity(c)))
         assert np.array_equal(np.tril(blocks[c]), np.tril(want[c]))
         assert np.isfinite(np.tril(blocks[c])).all()
         parts = sample_fields(grid, blocks, 2, 7, [0, 5])
@@ -307,6 +384,22 @@ def test_factor_of_a_plane_grid_holds_no_site_pair_table():
     finally:
         tracemalloc.stop()
     assert peak <= 96e6
+
+
+def test_factor_holds_one_class_of_parity_tables():
+    # a class's index tables are built when it is filled and let go once it
+    # is factored: on this 1 x 64^2 grid the four classes' tables (34 MB)
+    # held at once traced an 84 MB peak for 17 MB of factors
+    m = _model(hurst=0.8, space_dim=2)
+    grid = SampleGrid.regular(m, 1, 64)
+    factor_covariance(m, SampleGrid.regular(m, 2, 2))  # loads LAPACK untraced
+    tracemalloc.start()
+    try:
+        factor_covariance(m, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70e6
 
 
 @pytest.mark.parametrize("components", [2, 4])
@@ -360,20 +453,26 @@ def test_sampled_correlation_matches_the_model():
     assert abs(got - want) <= 4.0 * sd
 
 
-def _pair_with_identity(cov, slot, refills):
-    """A stand-in for ``covariance_matrix``: ``cov`` as the class in ``slot``
-    of one packed pair, the identity as its partner; each refill is logged."""
+def _pair_with_identity(monkeypatch, cov, slot):
+    """Make ``factor_covariance`` fill ``cov`` as the class in ``slot`` of
+    one packed pair and the identity as its partner; returns the log of
+    filled classes.  The grid must have two classes of ``len(cov)`` points,
+    and the stand-in for ``SampleGrid.parity`` gives each class its index."""
     n = len(cov)
-    blocks = anisohit.heat._packed_blocks([n, n])
+    fills = []
 
-    def refill(c):
-        refills.append(c)
-        blocks[c][np.tril_indices(n)] = (cov if c == slot else np.eye(n))[np.tril_indices(n)]
+    def fill(block, table, c):
+        fills.append(c)
+        block[np.tril_indices(n)] = (cov if c == slot else np.eye(n))[np.tril_indices(n)]
 
-    for c in (0, 1):
-        refill(c)
-    refills.clear()
-    return lambda *args: (blocks, refill)
+    monkeypatch.setattr(SampleGrid, "parity", lambda self, c: c)
+    monkeypatch.setattr(anisohit.mc, "_fill_block", fill)
+    return fills
+
+
+def _refills(fills):
+    """The fills of a log after each class's first: the jitter's refills."""
+    return [c for k, c in enumerate(fills) if c in fills[:k]]
 
 
 SLOTS = pytest.mark.parametrize("slot", [0, 1], ids=["first", "second"])
@@ -384,13 +483,13 @@ def test_jitter_lifts_a_singular_covariance(monkeypatch, caplog, slot):
     # the all-ones matrix is PSD of rank one: the clean factorization fails
     # and the first lift, 1e-10 of the largest variance, succeeds
     ones = np.ones((3, 3))
-    refills = []
-    monkeypatch.setattr(anisohit.mc, "covariance_matrix", _pair_with_identity(ones, slot, refills))
+    fills = _pair_with_identity(monkeypatch, ones, slot)
     m = _model()
     with caplog.at_level(logging.WARNING, logger="anisohit"):
-        factors = factor_covariance(m, SampleGrid.regular(m, 3, 1))
+        factors = factor_covariance(m, SampleGrid.regular(m, 3, 2))  # two classes of three points
     L, partner = np.tril(factors[slot]), np.tril(factors[1 - slot])
-    assert refills == [slot]
+    assert fills == sorted([0, 1, slot])  # class by class, each refilled before the next is filled
+    assert _refills(fills) == [slot]
     assert np.array_equal(partner, np.eye(3))  # the partner's triangle is untouched
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(ones)
@@ -412,12 +511,11 @@ def test_jitter_restores_a_triangle_overwritten_up_to_the_last_pivot(monkeypatch
     from scipy.linalg.lapack import dpotrf
 
     assert dpotrf(cov, lower=1)[1] == 5
-    refills = []
-    monkeypatch.setattr(anisohit.mc, "covariance_matrix", _pair_with_identity(cov, slot, refills))
+    fills = _pair_with_identity(monkeypatch, cov, slot)
     m = _model()
-    factors = factor_covariance(m, SampleGrid.regular(m, 5, 1))
+    factors = factor_covariance(m, SampleGrid.regular(m, 5, 2))
     L, partner = np.tril(factors[slot]), np.tril(factors[1 - slot])
-    assert refills == [slot]
+    assert _refills(fills) == [slot]
     assert np.array_equal(partner, np.eye(5))
     assert np.max(np.abs(L @ L.T - (cov + 1e-10 * scale * np.eye(5)))) <= 1e-12
 
@@ -425,12 +523,11 @@ def test_jitter_restores_a_triangle_overwritten_up_to_the_last_pivot(monkeypatch
 def test_indefinite_covariance_raises(monkeypatch):
     # the clean factorization and both lifts fail: two refills, then the error
     indefinite = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-    refills = []
-    monkeypatch.setattr(anisohit.mc, "covariance_matrix", _pair_with_identity(indefinite, 1, refills))
+    fills = _pair_with_identity(monkeypatch, indefinite, 1)
     m = _model()
     with pytest.raises(FactorizationError):
-        factor_covariance(m, SampleGrid.regular(m, 3, 1))
-    assert refills == [1, 1]
+        factor_covariance(m, SampleGrid.regular(m, 3, 2))
+    assert _refills(fills) == [1, 1]
 
 
 def test_public_scipy_modules_serve_when_the_compiled_files_are_not_found(monkeypatch):
