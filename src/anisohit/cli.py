@@ -408,9 +408,9 @@ def _run_capacity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     kernel = riesz_kernel(beta, target.dim)
     rep = capacity(kernel, target, n_cells=n_cells, tol=tol)
     params = f"target={cfg.str('target')};beta={beta:g};n_cells={n_cells}"
-    rows = [
-        _bound_row("fw-gap", params, rep.gap, tol * max(rep.energy, 1e-300)),
-    ]
+    rows = []
+    if rep.weights is not None:  # no solve ran when no cell can carry mass: no gap to bound
+        rows.append(_bound_row("fw-gap", params, rep.gap, tol * max(rep.energy, 1e-300)))
     if expect is not None:
         rows.append(_close_row("capacity", params, rep.capacity, expect, expect_rel * expect))
     else:
@@ -441,7 +441,7 @@ def _run_hausdorff(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     from .potential import hausdorff_upper
 
     target = _target_from(cfg)
-    gamma = _finite("gauge_gamma", cfg.float("gauge_gamma", _REQUIRED))
+    gamma = _positive("gauge_gamma", cfg.float("gauge_gamma", _REQUIRED))  # t^gamma is a gauge for gamma > 0
     eps = cfg.floats("eps", _REQUIRED)
     ref = _positive("expect_value", cfg.float("expect_value", None))  # so is a premeasure
     factor = _finite("expect_factor", cfg.float("expect_factor", 2.0), 1.0)  # below 1 no value passes

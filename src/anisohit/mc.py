@@ -73,6 +73,7 @@ _CHUNK_ROWS = 512  # (replicate, component) rows sampled at once
 # field points stacked into one target.distance call, so that tiny grids
 # do not pay one Python call per replicate
 _DISTANCE_POINTS = 4096
+_FILL_BAND = 1 << 18  # entries of one band of a block fill (2 MiB of float64)
 
 
 # -- grids and samples -----------------------------------------------------------
@@ -169,16 +170,24 @@ class SampleGrid:
         rank = np.zeros(whole[-1] + 1, dtype=np.min_scalar_type(len(whole)))  # S -> its index in whole; 2 bytes, not 8
         rank[whole] = np.arange(len(whole))
         sigma = self._classes()[c]
-        terms = []
-        for eta in self._classes():
-            squares = np.zeros((1, 1), dtype=int)
-            for odd, flip in zip(sigma, eta):  # axis by axis, the first slowest
-                a = self._half_axis(odd)
-                steps = a[:, None] + a - (n - 1) if flip else a[:, None] - a
-                size = len(squares) * len(a)
-                squares = (squares[:, None, :, None] + steps[None, :, None, :] ** 2).reshape(size, size)
-            terms.append(((-1.0) ** sum(f * o for f, o in zip(eta, sigma)), rank[squares]))
-        return terms
+
+        def squared_steps(odd: int, flip: int) -> np.ndarray:
+            # int32 holds any squared distance of a 4096-point grid, (n - 1)^2 * d
+            a = self._half_axis(odd).astype(np.int32)
+            steps = a[:, None] + (a - (n - 1)) if flip else a[:, None] - a  # one k x k array
+            steps *= steps
+            return steps
+
+        def table(eta: tuple[int, ...]) -> np.ndarray:
+            axes = iter(zip(sigma, eta))
+            squares = squared_steps(*next(axes))  # the first axis, slowest
+            for odd, flip in axes:
+                steps = squared_steps(odd, flip)
+                size = len(squares) * len(steps)
+                squares = (squares[:, None, :, None] + steps[None, :, None, :]).reshape(size, size)
+            return rank[squares]
+
+        return [((-1.0) ** sum(f * o for f, o in zip(eta, sigma)), table(eta)) for eta in self._classes()]
 
     def unfold(self, parts: list[np.ndarray]) -> None:
         """Turn rows of parity-class values into field values, in place.
@@ -251,22 +260,33 @@ def _packed_blocks(sizes: list[int]) -> list[np.ndarray]:
 def _fill_block(block: np.ndarray, table: np.ndarray, terms: list[tuple[float, np.ndarray]]) -> None:
     """Write one class's covariance, time-major over its sites, into the
     lower triangle of its block and nowhere else: the signed mean of
-    ``covariance_matrix``'s ``table`` over the class's ``parity`` terms."""
+    ``covariance_matrix``'s ``table`` over the class's ``parity`` terms.
+
+    Time i's columns are filled in bands of the class's site rows: a band
+    gathers, sums and writes its rows at every time j >= i, at most
+    ``_FILL_BAND`` entries at a time, straight into the block.  The tables
+    are symmetric, so row y, column x reads the entry (y, x) of each.
+    """
     k = len(terms[0][1])
     nt = len(block) // k if k else 0
     (sign0, idx0), *rest = terms
-    lower = np.tril_indices(k)
     pairs = table
     for i in range(nt):
-        # the blocks (i, j) for j >= i, which are the pairs' next nt - i rows
+        # the pairs (i, j) for j >= i, which are the table's next nt - i rows
         head, pairs = pairs[: nt - i], pairs[nt - i :]
-        blocks = sign0 * head[:, idx0]
-        for sign, idx in rest:
-            blocks += sign * head[:, idx]
-        if rest:
-            blocks *= 1.0 / (1 + len(rest))
-        block[i * k : (i + 1) * k, i * k : (i + 1) * k][lower] = blocks[0][lower]
-        block[(i + 1) * k :, i * k : (i + 1) * k] = blocks[1:].transpose(0, 2, 1).reshape(-1, k)
+        # block rows at times j >= i by time i's columns, as (j - i, y, x): a view
+        below = block[i * k :, i * k : (i + 1) * k].reshape(nt - i, k, k)
+        rows = max(1, _FILL_BAND // ((nt - i) * k))
+        for y0 in range(0, k, rows):
+            y1 = min(y0 + rows, k)
+            band = sign0 * head[:, idx0[y0:y1]]
+            for sign, idx in rest:
+                band += sign * head[:, idx[y0:y1]]
+            if rest:
+                band *= 1.0 / (1 + len(rest))
+            below[1:, y0:y1] = band[1:]
+            # at time i itself, row y reaches column y
+            np.copyto(below[0, y0:y1, :y1], band[0, :, :y1], where=np.tri(y1 - y0, y1, y0, dtype=bool))
 
 
 def _lower_operand(block: np.ndarray) -> tuple[np.ndarray, int]:

@@ -19,17 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, KernelError
-from .gauges import GaugeSystem, check_monotonicity
+
+if TYPE_CHECKING:
+    from .gauges import GaugeSystem
 
 _MAX_COVER_CELLS = 1 << 22
 _CELL_PAIRS = 64  # quasi-random pairs averaged for a cell's self-energy
 _FW_MAX_ITER = 200_000  # Frank-Wolfe iteration cap of the capacity solve
-# cells of a capacity solve: K alone is n^2 float64 (128 MiB at the bound)
+# cells of a capacity solve: K is n^2 float64 (128 MiB at the bound), and a
+# solve peaks at about 2 n^2 float64 while K is made from the distances
 _MAX_CAPACITY_CELLS = 4096
 # entries of one block of point-set squared distances (2 MiB of float64)
 _DISTANCE_BLOCK = 1 << 18
@@ -323,8 +326,8 @@ class PotentialKernel:
 
 def riesz_kernel(beta: float, ambient_dim: int) -> PotentialKernel:
     """|z|^(-beta) with the self-energy flag relative to ambient_dim cells."""
-    if not beta >= 0.0:
-        raise ConfigurationError("riesz exponent must be nonnegative")
+    if not 0.0 <= beta < math.inf:
+        raise ConfigurationError("riesz exponent must be nonnegative and finite")
 
     def profile(r):
         rr = np.asarray(r, dtype=float)
@@ -344,6 +347,8 @@ def kernel_from_gauge(system: GaugeSystem, ambient_dim: int | None = None) -> Po
     where monotonicity ends.  ``ambient_dim`` defaults to the field's state
     dimension, the space where hitting targets live.
     """
+    from .gauges import check_monotonicity  # only gauge kernels need the gauge calculus
+
     mono = check_monotonicity(system)
     if not mono.increasing_on_some_interval:
         raise ConfigurationError("hausdorff gauge is not increasing near 0; no kernel")
@@ -433,10 +438,7 @@ def capacity(
         raise ConfigurationError(
             f"the target splits into {len(centers)} cells; capacity allows at most {_MAX_CAPACITY_CELLS}"
         )
-    diffs = centers[:, None, :] - centers[None, :, :]
-    dists = np.sqrt(np.sum(diffs * diffs, axis=2))
-    if np.any((dists == 0.0) & ~np.eye(len(centers), dtype=bool)):
-        raise ConfigurationError("coincident cell centers; the target repeats a point")
+    dists = _cell_distances(centers)
     if width == 0.0:
         self_energy = float(np.asarray(kernel.radial_profile(np.zeros(1)))[0])
     elif kernel.integrable_at_zero:
@@ -448,6 +450,7 @@ def capacity(
 
     with np.errstate(over="ignore"):
         K = np.asarray(kernel.radial_profile(dists), dtype=float)
+    del dists
     np.fill_diagonal(K, self_energy)
     if not np.all(np.isfinite(K)):
         raise KernelError("kernel produced non-finite values at positive distances")
@@ -460,6 +463,22 @@ def capacity(
         iterations=iters,
         weights=mu,
     )
+
+
+def _cell_distances(centers: np.ndarray) -> np.ndarray:
+    """Distances between all pairs of cell centers, filled in bands of rows
+    of at most ``_DISTANCE_BLOCK`` (row, cell, coordinate) entries.  Each
+    row holds one zero, its own cell's; any other means the target repeats
+    a point."""
+    n, dim = centers.shape
+    dists = np.empty((n, n))
+    rows = max(1, _DISTANCE_BLOCK // (n * dim))
+    for lo in range(0, n, rows):
+        band = centers[lo : lo + rows, None, :] - centers[None, :, :]
+        np.sqrt(np.sum(band * band, axis=2), out=dists[lo : lo + rows])
+        if np.count_nonzero(dists[lo : lo + rows] == 0.0) > len(band):
+            raise ConfigurationError("coincident cell centers; the target repeats a point")
+    return dists
 
 
 def _simplex_min_quadratic(

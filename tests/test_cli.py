@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import anisohit
@@ -243,6 +244,11 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         ("hausdorff", "target = cantor\ngauge_gamma = 0.63\neps = inf, 0.5\n"),
         ("hausdorff", "target = cantor\ngauge_gamma = inf\neps = 0.1, 0.01\n"),
         ("hausdorff", "target = cantor\ngauge_gamma = nan\neps = 0.1, 0.01\n"),
+        # t^gamma is no gauge unless gamma > 0
+        ("hausdorff", "target = cantor\ngauge_gamma = -1\neps = 0.1, 0.01\n"),
+        ("hausdorff", "target = cantor\ngauge_gamma = 0\neps = 0.1, 0.01\n"),
+        # an infinite exponent made capacity 0 and an fw-gap row against inf
+        ("capacity", "target = interval\nriesz_beta = inf\n"),
         ("small-ball", "hurst = 0.75\nn_times = 4\nn_sites = 4\neps = inf, 1, 0.5\nn_samples = 200\n"),
         # one frequency is a trend that cannot fail
         ("polarity", "hurst = 0.9\ncomponents = 4\ngrids = 8x8\nn_samples = 200\n"),
@@ -281,7 +287,8 @@ _OVERFLOW = "t1 = 1e308\nn_pairs = 10\n"
         "t-ref-negative", "factor-negative", "factor-0", "homogeneity-scale-0", "homogeneity-scale-negative",
         "expect-factor-below-1", "n-cells-huge", "homogeneity-cells-huge", "hit-mc-samples-huge",
         "small-ball-samples-huge", "polarity-samples-huge", "n-pairs-huge", "grid-size-huge", "t1-inf",
-        "box-radius-inf", "hausdorff-eps-inf", "gauge-gamma-inf", "gauge-gamma-nan", "small-ball-eps-inf",
+        "box-radius-inf", "hausdorff-eps-inf", "gauge-gamma-inf", "gauge-gamma-nan", "gauge-gamma-negative",
+        "gauge-gamma-0", "beta-inf", "small-ball-eps-inf",
         "polarity-one-grid", "expect-capacity-inf", "expect-capacity-negative", "expect-capacity-0",
         "expect-rel-tol-inf", "expect-rel-tol-negative", "tol-inf",
         "tol-0", "growth-limit-inf", "growth-limit-rel-tol-inf", "rel-tol-inf", "rel-tol-negative",
@@ -427,6 +434,46 @@ def test_capacity_pipeline_smoke(tmp_path):
     assert "fw-gap" in text and "capacity," in text
 
 
+@pytest.mark.parametrize(
+    "text, solved",
+    [
+        ("target = interval\nriesz_beta = 0.3\nn_cells = 64\n", True),
+        # cells of positive width under a kernel not integrable at 0
+        ("target = interval\nriesz_beta = 1.5\nn_cells = 64\nhomogeneity_scale = 2\n", False),
+        # a point under a singular kernel
+        ("target = ball\ntarget_center = 0.5, 0.5\ntarget_radius = 0\nriesz_beta = 0.5\n", False),
+        ("target = points\ntarget_points = 0 0; 1 1\nriesz_beta = 0.5\n", False),
+    ],
+    ids=["solved", "interval-beta-1.5", "radius-0-ball", "points-singular"],
+)
+def test_capacity_reports_a_gap_only_for_a_solve(tmp_path, text, solved):
+    # with an infinite self-energy no cell carries mass and no solve runs:
+    # an fw-gap row would bound a gap of 0 by inf, which cannot fail
+    assert main(["capacity", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
+    csv = (tmp_path / "capacity.csv").read_text()
+    assert "inf" not in csv
+    assert ("\nfw-gap," in csv) == solved
+    observed = [float(line.split(",")[2]) for line in csv.splitlines()[1:] if line.startswith("capacity,")]
+    assert (observed[0] > 0.0) == solved
+
+
+def test_a_point_set_repeated_across_distance_bands_exits_2(tmp_path):
+    # 1200 plane points fill 109 rows per band of the capacity distances;
+    # the repeat's two rows lie in the first and the last band
+    points = np.random.default_rng(3).standard_normal((1200, 2))
+
+    def run():
+        rows = "; ".join(f"{x:.17g} {y:.17g}" for x, y in points)
+        cfg = _write(tmp_path, f"target = points\nriesz_beta = 0\ntarget_points = {rows}\n")
+        return main(["capacity", "--config", cfg, "--out", str(tmp_path)])
+
+    assert run() == 0
+    (tmp_path / "capacity.csv").unlink()
+    points[1199] = points[0]
+    assert run() == 2
+    assert not (tmp_path / "capacity.csv").exists()
+
+
 def _python(*args):
     src = str(Path(anisohit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -452,6 +499,19 @@ def test_package_import_leaves_scipy_module_unloaded(module):
         + _assert_unloaded(module)
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_capacity_run_leaves_the_gauge_calculus_unloaded(tmp_path):
+    # a Riesz capacity needs neither the gauges nor their quadrature
+    cfg = _write(tmp_path, "target = interval\nriesz_beta = 0.3\nn_cells = 64\n")
+    proc = _fresh_interpreter(
+        "from anisohit.cli import main\n"
+        f"assert main(['capacity', '--config', {cfg!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        + _assert_unloaded("anisohit.gauges")
+        + _assert_unloaded("anisohit._quad")
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "capacity.csv").is_file()
 
 
 def test_hit_mc_run_leaves_scipy_linalg_unloaded(tmp_path):

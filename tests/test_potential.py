@@ -3,10 +3,10 @@
 import hashlib
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
+from _tracing import traced_peak
 
 from anisohit.errors import ConfigurationError, KernelError
 from anisohit.gauges import GaugeSpec, GaugeSystem
@@ -19,6 +19,7 @@ from anisohit.potential import (
     PointSet,
     PotentialKernel,
     _cantor_intervals,
+    _cell_distances,
     _guard_cover_size,
     _simplex_min_quadratic,
     _unit_pair_seps,
@@ -78,12 +79,7 @@ def test_point_set_distance_holds_one_block():
     target = PointSet(rng.standard_normal((3000, 2)))
     queries = rng.standard_normal((2000, 2))
     target.distance(queries[:10])  # warms up untraced
-    tracemalloc.start()
-    try:
-        target.distance(queries)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: target.distance(queries))
     assert peak <= 2.5 * 8 * _DISTANCE_BLOCK
 
 
@@ -390,6 +386,35 @@ def test_capacity_cells_are_bounded():
     many = PointSet(points=np.arange(4097.0).reshape(-1, 1))
     with pytest.raises(ConfigurationError, match="4097 cells"):
         capacity(riesz_kernel(0.0, 1), many, n_cells=256, tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "beta, target, n_cells",
+    [(1.5, Box(lo=(0.0,) * 3, hi=(1.0,) * 3), 1000), (0.3, Box(lo=(0.0,), hi=(1.0,)), 1024)],
+    ids=["3d-box", "interval"],
+)
+def test_capacity_holds_k_and_one_distance_array(beta, target, n_cells):
+    # the distances are filled band by band and let go once K is made from
+    # them: the whole (n, n, dim) difference array, its square and two
+    # identity masks traced 7.0 and 4.0 times K's bytes
+    kernel = riesz_kernel(beta, target.dim)
+    capacity(kernel, target, n_cells=16, tol=1e-3)  # warms up untraced
+    report, peak = traced_peak(lambda: capacity(kernel, target, n_cells=n_cells, tol=1e-4))
+    assert peak <= 2.25 * 8 * len(report.weights) ** 2
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (3, 517), (0, 1199), (599, 600)])
+def test_coincident_centers_in_different_bands_are_refused(pair):
+    # 1200 plane points fill 109 rows per band: a repeat is found whichever
+    # bands its two rows fall in, and the same points without it pass
+    points = np.random.default_rng(5).standard_normal((1200, 2))
+    assert 1200 * 2 * 109 <= _DISTANCE_BLOCK < 1200 * 2 * 110
+    dists = _cell_distances(points)
+    assert np.count_nonzero(dists == 0.0) == 1200
+    np.testing.assert_allclose(dists, np.linalg.norm(points[:, None] - points[None, :], axis=2), rtol=1e-15)
+    points[pair[1]] = points[pair[0]]
+    with pytest.raises(ConfigurationError, match="coincident"):
+        _cell_distances(points)
 
 
 def test_five_dimensional_ball_has_a_capacity():
