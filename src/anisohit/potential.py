@@ -34,7 +34,8 @@ _FW_MAX_ITER = 200_000  # Frank-Wolfe iteration cap of the capacity solve
 # cells of a capacity solve: K is n^2 float64 (128 MiB at the bound), and a
 # solve peaks at about 2 n^2 float64 while K is made from the distances
 _MAX_CAPACITY_CELLS = 4096
-# entries of one block of point-set squared distances (2 MiB of float64)
+# entries of one block of point-set distances, or of one band of capacity
+# cell distances (2 MiB of float64)
 _DISTANCE_BLOCK = 1 << 18
 
 
