@@ -140,52 +140,52 @@ class SampleGrid:
         halves = [len(self._half_axis(odd)) for odd in (0, 1)]
         return [math.prod(halves[odd] for odd in sigma) for sigma in self._classes()]
 
-    def _squares(self) -> np.ndarray:
-        """The distinct whole numbers S of squared steps between two sites, increasing."""
+    def _step_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct whole numbers S of squared steps between two sites,
+        increasing, and ``index``, shape (n,) * d: at per-axis step counts a,
+        the position of sum a_k^2 among them, in 1 or 2 bytes."""
         n = len(self.site_axis)
-        present = np.zeros(self.space_dim * (n - 1) ** 2 + 1, dtype=bool)
-        present[sum(np.ix_(*[np.arange(n) ** 2] * self.space_dim))] = True
-        return np.flatnonzero(present)
+        sums = sum(np.ix_(*[np.arange(n) ** 2] * self.space_dim))
+        whole, index = np.unique(sums, return_inverse=True)  # sorts; plain np.unique imports numpy.ma
+        return whole, index.reshape(sums.shape).astype(np.min_scalar_type(len(whole)))
 
     def separations(self) -> np.ndarray:
         """The grid's distinct site separations, step * sqrt(S), increasing."""
         n = len(self.site_axis)
         step = (self.site_axis[-1] - self.site_axis[0]) / max(n - 1, 1)
-        return step * np.sqrt(self._squares())
+        return step * np.sqrt(self._step_index()[0])
 
     def parity(self, c: int) -> list[tuple[float, np.ndarray]]:
         """Class c's index tables into ``separations``: one (sign, table) per
         reflection eta (a flag per axis, 1 where it is reflected), in class order.
 
-        Along an axis, sites i and j lie i - j steps apart and i + j - (n - 1)
-        steps from each other's mirror image, so |x - eta y|^2 is a whole
-        number of squared steps.  The table indexes |x - eta y| for the
-        class's sites x (rows) and y (columns), a product of half axes with
-        the first axis slowest; the sign is -1 when eta reflects an odd
-        number of the class's odd axes.  The squares' index lookup lives only
-        while the tables are built (34 MB on a 4096-site axis).
+        Along an axis, sites i and j lie |i - j| steps apart and
+        |i + j - (n - 1)| steps from each other's mirror image.  The table
+        indexes |x - eta y| for the class's sites x (rows) and y (columns), a
+        product of half axes with the first axis slowest, by one gather from
+        ``_step_index`` at the flat position sum count_k * n^(d-1-k) < 4096
+        (int16); the sign is -1 when eta reflects an odd number of the
+        class's odd axes.
         """
-        n = len(self.site_axis)
-        whole = self._squares()
-        rank = np.zeros(whole[-1] + 1, dtype=np.min_scalar_type(len(whole)))  # S -> its index in whole; 2 bytes, not 8
-        rank[whole] = np.arange(len(whole))
+        n, d = len(self.site_axis), self.space_dim
+        index = self._step_index()[1].ravel()
         sigma = self._classes()[c]
 
-        def squared_steps(odd: int, flip: int) -> np.ndarray:
-            # int32 holds any squared distance of a 4096-point grid, (n - 1)^2 * d
-            a = self._half_axis(odd).astype(np.int32)
+        def flat_steps(axis: int, odd: int, flip: int) -> np.ndarray:
+            a = self._half_axis(odd).astype(np.int16)
             steps = a[:, None] + (a - (n - 1)) if flip else a[:, None] - a  # one k x k array
-            steps *= steps
+            np.abs(steps, out=steps)
+            steps *= n ** (d - 1 - axis)
             return steps
 
         def table(eta: tuple[int, ...]) -> np.ndarray:
-            axes = iter(zip(sigma, eta))
-            squares = squared_steps(*next(axes))  # the first axis, slowest
-            for odd, flip in axes:
-                steps = squared_steps(odd, flip)
-                size = len(squares) * len(steps)
-                squares = (squares[:, None, :, None] + steps[None, :, None, :]).reshape(size, size)
-            return rank[squares]
+            axes = zip(sigma, eta)
+            flat = flat_steps(0, *next(axes))  # the first axis, slowest
+            for axis, (odd, flip) in enumerate(axes, 1):
+                steps = flat_steps(axis, odd, flip)
+                size = len(flat) * len(steps)
+                flat = (flat[:, None, :, None] + steps[None, :, None, :]).reshape(size, size)
+            return index[flat]
 
         return [((-1.0) ** sum(f * o for f, o in zip(eta, sigma)), table(eta)) for eta in self._classes()]
 

@@ -167,6 +167,19 @@ def test_gauge_check_accepts_the_log_corrected_family(tmp_path):
     assert ",false" not in (tmp_path / "gauge-check.csv").read_text()
 
 
+def test_gauge_check_decides_monotonicity_once(tmp_path, monkeypatch):
+    # the monotone and polar rows read the report check_growth returns;
+    # each check of a log-corrected gauge is a bisection
+    import anisohit.gauges
+
+    calls = []
+    check = anisohit.gauges.check_monotonicity
+    monkeypatch.setattr(anisohit.gauges, "check_monotonicity", lambda system: calls.append(system) or check(system))
+    cfg = _write(tmp_path, _critical_gauges("power-log"))
+    assert main(["gauge-check", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+
+
 def test_unknown_gauge_family_names_the_accepted_ones(tmp_path, capsys):
     cfg = _write(tmp_path, _critical_gauges("power_log"))
     assert main(["gauge-check", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -455,6 +468,24 @@ def test_capacity_reports_a_gap_only_for_a_solve(tmp_path, text, solved):
     assert ("\nfw-gap," in csv) == solved
     observed = [float(line.split(",")[2]) for line in csv.splitlines()[1:] if line.startswith("capacity,")]
     assert (observed[0] > 0.0) == solved
+
+
+@pytest.mark.parametrize(
+    "text, solved",
+    [
+        ("target = interval\nriesz_beta = 0.3\nn_cells = 64\nhomogeneity_scale = 2\n", True),
+        ("target = interval\nriesz_beta = 1.5\nn_cells = 64\nhomogeneity_scale = 2\n", False),
+        ("target = ball\ntarget_center = 0.5, 0.5\ntarget_radius = 0\nriesz_beta = 0.5\nhomogeneity_scale = 2\n", False),
+    ],
+    ids=["solved", "interval-beta-1.5", "radius-0-ball"],
+)
+def test_capacity_homogeneity_needs_a_solve(tmp_path, text, solved):
+    # without a solve both capacities are 0, and 0 against scale^beta * 0 at
+    # tolerance 0 could not fail
+    assert main(["capacity", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 0
+    csv = (tmp_path / "capacity.csv").read_text()
+    assert "\ncapacity," in csv
+    assert ("\ncapacity-homogeneity," in csv) == solved
 
 
 def test_a_point_set_repeated_across_distance_bands_exits_2(tmp_path):

@@ -111,6 +111,13 @@ def _dense(m, grid):
     return out
 
 
+def _factor_peak(m, grid):
+    """The factors of ``grid`` and the peak tracemalloc traced while they
+    were made, after a 2 x 2 grid has loaded LAPACK untraced."""
+    factor_covariance(m, SampleGrid.regular(m, 2, 2))
+    return traced_peak(lambda: factor_covariance(m, grid))
+
+
 def _arrays(factors):
     """The distinct arrays that hold the factors' views."""
     return list({id(a): a for a in (f if f.base is None else f.base for f in factors)}.values())
@@ -210,6 +217,22 @@ def test_parity_tables_index_the_coordinate_separations(kw, shape):
             np.testing.assert_allclose(seps[idx], want, rtol=1e-15, atol=1e-15 * m.box_radius)
             used[idx] = True
     assert used.all()
+
+
+@pytest.mark.parametrize("kw, shape", PARITY_GRIDS + [(dict(), (1, 4096))], ids=PARITY_IDS + ["1x4096"])
+def test_step_index_ranks_every_count_vector(kw, shape):
+    # whole holds the distinct sums of squared per-axis step counts, and the
+    # index maps each count vector a to the position of sum a_k^2 in whole,
+    # in at most n^d entries of one or two bytes
+    grid = SampleGrid.regular(_model(**kw), *shape)
+    n, d = len(grid.site_axis), grid.space_dim
+    whole, index = grid._step_index()
+    counts = np.indices((n,) * d).reshape(d, -1).T
+    sums = np.sum(counts**2, axis=1)
+    assert np.array_equal(whole, np.unique(sums))
+    assert index.shape == (n,) * d and index.size <= 4096
+    assert index.dtype.itemsize <= 2 and index.dtype.kind == "u"
+    assert np.array_equal(index[tuple(counts.T)], np.searchsorted(whole, sums))
 
 
 def _filled(m, grid):
@@ -358,8 +381,7 @@ def test_factor_holds_one_covariance_sized_array():
     # a copy anywhere would double the traced peak
     m = _model()
     grid = SampleGrid.regular(m, 32, 32)
-    factor_covariance(m, SampleGrid.regular(m, 2, 2))  # loads LAPACK untraced
-    factors, peak = traced_peak(lambda: factor_covariance(m, grid))
+    factors, peak = _factor_peak(m, grid)
     packed = sum(a.nbytes for a in _arrays(factors))
     # the two 512-point classes share one 513 x 512 array, against two 512^2 ones
     assert packed <= 0.51 * sum(f.shape[0] ** 2 * 8 for f in factors)
@@ -371,8 +393,7 @@ def test_factor_of_a_plane_grid_holds_no_site_pair_table():
     # tables over all site pairs traced a 388 MB peak for 5 MB of factors
     m = _model(hurst=0.8, space_dim=2)
     grid = SampleGrid.regular(m, 1, 48)
-    factor_covariance(m, SampleGrid.regular(m, 2, 2))  # loads LAPACK untraced
-    _, peak = traced_peak(lambda: factor_covariance(m, grid))
+    _, peak = _factor_peak(m, grid)
     assert peak <= 96e6
 
 
@@ -382,25 +403,25 @@ def test_factor_holds_one_class_of_parity_tables():
     # held at once traced an 84 MB peak for 17 MB of factors
     m = _model(hurst=0.8, space_dim=2)
     grid = SampleGrid.regular(m, 1, 64)
-    factor_covariance(m, SampleGrid.regular(m, 2, 2))  # loads LAPACK untraced
-    _, peak = traced_peak(lambda: factor_covariance(m, grid))
+    _, peak = _factor_peak(m, grid)
     assert peak <= 70e6
 
 
 @pytest.mark.parametrize(
     "kw, shape, bound",
-    [(dict(), (1, 4096), 110e6), (dict(), (2, 2048), 60e6), (dict(hurst=0.9, components=4), (64, 64), 37e6)],
+    [(dict(), (1, 4096), 70e6), (dict(), (2, 2048), 60e6), (dict(hurst=0.9, components=4), (64, 64), 37e6)],
     ids=["1x4096", "2x2048", "64x64"],
 )
 def test_factor_fills_its_blocks_in_row_bands(kw, shape, bound):
     # a block is written band by band, straight from the class's tables, and
-    # the tables are built in int32: whole-block gathers, their signed sum,
-    # np.tril_indices and int64 squared steps traced 184.6 MB on 1 x 4096 and
-    # 96.5 MB on 2 x 2048, for 33.6 MB of factors; 64 x 64 traced 36.2 MB
+    # the tables are read through the grid's step-count index: whole-block
+    # gathers, their signed sum, np.tril_indices and int64 squared steps
+    # traced 184.6 MB on 1 x 4096 and 96.5 MB on 2 x 2048, for 33.6 MB of
+    # factors, and a lookup over every whole number of squared steps up to
+    # (n - 1)^2 still 100.8 MB on 1 x 4096; 64 x 64 traced 36.2 MB
     m = _model(**kw)
     grid = SampleGrid.regular(m, *shape)
-    factor_covariance(m, SampleGrid.regular(m, 2, 2))  # loads LAPACK untraced
-    _, peak = traced_peak(lambda: factor_covariance(m, grid))
+    _, peak = _factor_peak(m, grid)
     assert peak <= bound
 
 
