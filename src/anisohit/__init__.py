@@ -2,8 +2,8 @@
 fractional-colored heat field: exact covariances, capacities, Hausdorff
 premeasures, and Monte Carlo hitting experiments.
 
-Submodules load on first attribute access so that the command-line entry
-point can pin thread counts before numpy comes in.
+Submodules load on first attribute access, so a run imports only the
+modules it uses.
 """
 
 from importlib import import_module

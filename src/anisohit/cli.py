@@ -9,10 +9,8 @@ Config files are flat key=value lines with # comments.  Reports land in
 
 written atomically (temp file then rename) so failed runs leave nothing
 behind.  Exit status: 0 all rows pass, 1 some row fails, 2 configuration
-problem, 3 numerical failure.
-
-The environment variable ANISOHIT_THREADS caps BLAS/OpenMP threads; it is
-applied before numpy loads, so it must be set when the process starts.
+problem, 3 numerical failure.  A bad config is refused where it is read,
+before any quadrature, factorization or capacity solve.
 """
 
 from __future__ import annotations
@@ -24,27 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigurationError, NumericalError
-
-_THREAD_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-)
-
-
-def _apply_thread_cap() -> None:
-    raw = os.environ.get("ANISOHIT_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"ANISOHIT_THREADS must be a positive integer, got {raw!r}")
-    for var in _THREAD_VARS:
-        os.environ[var] = str(n)
 
 
 # -- report rows -----------------------------------------------------------------
@@ -146,19 +123,46 @@ class ConfigReader:
         except ValueError:
             raise ConfigurationError(f"config key {key!r} " + problem.format(val=repr(val))) from None
 
+    @staticmethod
+    def _check_float(key: str, value: float, positive: bool, least: float | None) -> None:
+        if positive and not 0.0 < value < math.inf:
+            raise ConfigurationError(f"config key {key!r} must be positive and finite, got {value!r}")
+        if least is not None and not (math.isfinite(value) and value >= least):
+            floor = "" if least == -math.inf else f" and at least {least:g}"
+            raise ConfigurationError(f"config key {key!r} must be finite{floor}, got {value!r}")
+
     def str(self, key: str, default=None) -> str | None:
         return self._get(key, default, str)
 
-    def float(self, key: str, default=None) -> float | None:
-        return self._get(key, default, float, "must be a number, got {val}")
+    def float(self, key: str, default=None, *, positive: bool = False, least: float | None = None) -> float | None:
+        """With ``positive`` a given value must be positive and finite, with
+        ``least`` finite and at least ``least`` (``-math.inf``: only finite);
+        at inf or NaN a tolerance or reference makes a row that cannot fail, or pass."""
+        value = self._get(key, default, float, "must be a number, got {val}")
+        if value is not None:
+            self._check_float(key, value, positive, least)
+        return value
 
-    def int(self, key: str, default=None) -> int | None:
-        return self._get(key, default, int, "must be an integer, got {val}")
+    def int(self, key: str, default=None, *, least: int | None = None) -> int | None:
+        value = self._get(key, default, int, "must be an integer, got {val}")
+        if value is not None and least is not None and value < least:
+            raise ConfigurationError(f"config key {key!r} must be at least {least}, got {value}")
+        return value
 
-    def floats(self, key: str, default=None) -> list | None:
+    def flag(self, key: str, default=None) -> int | None:
+        """0 or 1 when given: a flag row compares a yes/no verdict with it, so
+        any other number would be the reference of a row that passes."""
+        value = self.int(key, default)
+        if value not in (None, 0, 1):
+            raise ConfigurationError(f"config key {key!r} must be 0 or 1, got {value!r}")
+        return value
+
+    def floats(self, key: str, default=None, *, positive: bool = False) -> list | None:
         out = self._get(key, default, _float_list, "must be a comma list of numbers")
         if out == []:
             raise ConfigurationError(f"config key {key!r} is an empty list")
+        for value in out or ():
+            self._check_float(key, value, positive, None)
         return out
 
     def reject_unknown(self) -> None:
@@ -168,33 +172,6 @@ class ConfigReader:
 
 
 _REQUIRED = object()
-
-
-def _positive(key: str, value: float | None) -> float | None:
-    """``value`` of config key ``key``, which must be positive and finite
-    when given."""
-    if value is not None and not 0.0 < value < math.inf:
-        raise ConfigurationError(f"config key {key!r} must be positive and finite, got {value!r}")
-    return value
-
-
-def _finite(key: str, value: float | None, least: float = -math.inf) -> float | None:
-    """``value`` of config key ``key``, which must be finite and at least
-    ``least`` when given: a tolerance or a reference at inf or NaN makes a
-    row that cannot fail, or cannot pass."""
-    if value is not None and not (math.isfinite(value) and value >= least):
-        floor = "" if least == -math.inf else f" and at least {least:g}"
-        raise ConfigurationError(f"config key {key!r} must be finite{floor}, got {value!r}")
-    return value
-
-
-def _flag(key: str, value: int | None) -> int | None:
-    """``value`` of config key ``key``, which must be 0 or 1 when given: a
-    flag row compares a yes/no verdict with it, so any other number would be
-    written as the reference of a row that passes."""
-    if value not in (None, 0, 1):
-        raise ConfigurationError(f"config key {key!r} must be 0 or 1, got {value!r}")
-    return value
 
 
 def _float_list(text: str) -> list:
@@ -275,9 +252,9 @@ def _run_gauge_check(cfg: ConfigReader, seed: int) -> list[ReportRow]:
         diam_cap=cfg.float("diam_cap", _REQUIRED),
     )
     grid_size = cfg.int("grid_size", 200)
-    expect_increasing = _flag("expect_increasing", cfg.int("expect_increasing", 1))
-    limit_ref = _finite("growth_limit", cfg.float("growth_limit", None))
-    limit_tol = _finite("growth_limit_rel_tol", cfg.float("growth_limit_rel_tol", 0.02), 0.0)
+    expect_increasing = cfg.flag("expect_increasing", 1)
+    limit_ref = cfg.float("growth_limit", None, least=-math.inf)
+    limit_tol = cfg.float("growth_limit_rel_tol", 0.02, least=0.0)
     cfg.reject_unknown()
 
     growth = check_growth(system, grid_size=grid_size)
@@ -303,9 +280,9 @@ def _run_gauge_check(cfg: ConfigReader, seed: int) -> list[ReportRow]:
 
 def _run_variance_scaling(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     model = _model_from(cfg)
-    t_ref = _positive("t_ref", cfg.float("t_ref", 0.25))
-    factors = [_positive("factors", c) for c in cfg.floats("factors", [0.5, 2.0, 4.0])]
-    rel_tol = _finite("rel_tol", cfg.float("rel_tol", 1e-6), 0.0)
+    t_ref = cfg.float("t_ref", 0.25, positive=True)
+    factors = cfg.floats("factors", [0.5, 2.0, 4.0], positive=True)
+    rel_tol = cfg.float("rel_tol", 1e-6, least=0.0)
     cfg.reject_unknown()
 
     base = model.variance_direct(t_ref)
@@ -331,10 +308,8 @@ def _run_metric_equivalence(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     from .heat import model_gauges, separations
 
     model = _model_from(cfg)
-    n_pairs = cfg.int("n_pairs", 1000)
-    if n_pairs < 2:  # one pair's band is 1 whatever the metric
-        raise ConfigurationError(f"config key 'n_pairs' must be at least 2, got {n_pairs}")
-    band_limit = _finite("band_limit", cfg.float("band_limit", 50.0), 1.0)  # the band is a max/min ratio
+    n_pairs = cfg.int("n_pairs", 1000, least=2)  # one pair's band is 1 whatever the metric
+    band_limit = cfg.float("band_limit", 50.0, least=1.0)  # the band is a max/min ratio
     cfg.reject_unknown()
 
     system = model_gauges(model)
@@ -358,9 +333,9 @@ def _run_rates(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     from .heat import model_gauges, spatial_gauge_residual, spatial_slope, temporal_slope
 
     model = _model_from(cfg)
-    tol_t = _finite("temporal_tol", cfg.float("temporal_tol", 0.02), 0.0)
-    tol_x = _finite("spatial_tol", cfg.float("spatial_tol", 0.03), 0.0)
-    ratio_min = _positive("residual_ratio_min", cfg.float("residual_ratio_min", 5.0))  # a ratio of RMS residuals
+    tol_t = cfg.float("temporal_tol", 0.02, least=0.0)
+    tol_x = cfg.float("spatial_tol", 0.03, least=0.0)
+    ratio_min = cfg.float("residual_ratio_min", 5.0, positive=True)  # a ratio of RMS residuals
     cfg.reject_unknown()
 
     params = f"H={model.hurst:g};alpha={model.alpha:g};d={model.space_dim}"
@@ -399,14 +374,19 @@ def _run_capacity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     target = _target_from(cfg)
     beta = cfg.float("riesz_beta", _REQUIRED)
     n_cells = cfg.int("n_cells", 256)
-    tol = _positive("tol", cfg.float("tol", 1e-6))
-    expect = _positive("expect_capacity", cfg.float("expect_capacity", None))  # a capacity is positive
-    expect_rel = _finite("expect_rel_tol", cfg.float("expect_rel_tol", 0.01), 0.0)
-    scale = _positive("homogeneity_scale", cfg.float("homogeneity_scale", None))
+    tol = cfg.float("tol", 1e-6, positive=True)
+    expect = cfg.float("expect_capacity", None, positive=True)  # a capacity is positive
+    expect_rel = cfg.float("expect_rel_tol", 0.01, least=0.0)
+    scale = cfg.float("homogeneity_scale", None, positive=True)
     cfg.reject_unknown()
 
     kernel = riesz_kernel(beta, target.dim)
-    rep = capacity(kernel, target, n_cells=n_cells, tol=tol)
+    covers = {"target": (target, n_cells)}
+    if scale is not None:
+        covers["scaled"] = (_scaled_target(target, scale), max(2, int(round(n_cells * scale))))
+    # the larger cover first, so a size that capacity refuses costs no solve
+    reports = {name: capacity(kernel, *covers[name], tol=tol) for name in sorted(covers, key=lambda k: -covers[k][1])}
+    rep = reports["target"]
     params = f"target={cfg.str('target')};beta={beta:g};n_cells={n_cells}"
     rows = []
     solved = rep.weights is not None  # no solve ran when no cell can carry mass: no gap to bound
@@ -416,14 +396,11 @@ def _run_capacity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
         rows.append(_close_row("capacity", params, rep.capacity, expect, expect_rel * expect))
     else:
         rows.append(_info_row("capacity", params, rep.capacity))
-    if scale is not None:
-        scaled = _scaled_target(target, scale)
-        rep2 = capacity(kernel, scaled, n_cells=max(2, int(round(n_cells * scale))), tol=tol)
-        pred = scale**beta * rep.capacity
-        # scaling keeps the kernel and a zero or positive cell width, so
-        # without a solve both capacities are 0 and the row could not fail
-        if solved:
-            rows.append(_close_row("capacity-homogeneity", f"{params};r={scale:g}", rep2.capacity, pred, 0.01 * pred))
+    # scaling keeps the kernel and a zero or positive cell width, so
+    # without a solve both capacities are 0 and the row could not fail
+    if scale is not None and solved:
+        pred, scaled = scale**beta * rep.capacity, reports["scaled"].capacity
+        rows.append(_close_row("capacity-homogeneity", f"{params};r={scale:g}", scaled, pred, 0.01 * pred))
     return rows
 
 
@@ -441,10 +418,10 @@ def _run_hausdorff(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     from .potential import hausdorff_upper
 
     target = _target_from(cfg)
-    gamma = _positive("gauge_gamma", cfg.float("gauge_gamma", _REQUIRED))  # t^gamma is a gauge for gamma > 0
+    gamma = cfg.float("gauge_gamma", _REQUIRED, positive=True)  # t^gamma is a gauge for gamma > 0
     eps = cfg.floats("eps", _REQUIRED)
-    ref = _positive("expect_value", cfg.float("expect_value", None))  # so is a premeasure
-    factor = _finite("expect_factor", cfg.float("expect_factor", 2.0), 1.0)  # below 1 no value passes
+    ref = cfg.float("expect_value", None, positive=True)  # so is a premeasure
+    factor = cfg.float("expect_factor", 2.0, least=1.0)  # below 1 no value passes
     cfg.reject_unknown()
 
     estimates = hausdorff_upper(lambda t: t**gamma, target, eps)
@@ -500,7 +477,7 @@ def _run_small_ball(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     center = cfg.floats("center", [0.0] * model.components)
     eps = cfg.floats("eps", [0.25, 0.125, 0.0625, 0.03125])
     n_samples = cfg.int("n_samples", 10_000)
-    slope_tol = _finite("slope_tol", cfg.float("slope_tol", 0.3), 0.0)
+    slope_tol = cfg.float("slope_tol", 0.3, least=0.0)
     cfg.reject_unknown()
 
     system = model_gauges(model)
@@ -531,7 +508,7 @@ def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     center = cfg.floats("center", [1.5] * model.components)
     shapes_raw = cfg.str("grids", "8x8,16x16,32x32")
     n_samples = cfg.int("n_samples", 2000)
-    expect_polar = _flag("expect_polar", cfg.int("expect_polar", None))
+    expect_polar = cfg.flag("expect_polar", None)
     cfg.reject_unknown()
 
     try:
@@ -543,13 +520,13 @@ def _run_polarity(cfg: ConfigReader, seed: int) -> list[ReportRow]:
     if len(shapes) < 2:  # one frequency is a trend that cannot fail
         raise ConfigurationError(f"polarity needs at least two grids for a trend, got {shapes_raw!r}")
 
+    grids = [SampleGrid.regular(model, nt, ns) for nt, ns in shapes]  # each refused before any is sampled
     system = model_gauges(model)
     mono = check_monotonicity(system)
     params = f"H={model.hurst:g};D={model.components};n={n_samples};seed={seed}"
     rows = [_flag_row("polar-verdict", params, mono.polar_points, expect_polar)]
     target = PointSet([center])
-    for nt, ns in shapes:
-        grid = SampleGrid.regular(model, nt, ns)
+    for (nt, ns), grid in zip(shapes, grids):
         rho = mesh_inflation(model, grid)
         [est] = estimate_hit_prob(model, grid, target, [rho], n_samples=n_samples, seed=seed)
         rows.append(_info_row("polar-p-inflated", f"{params};grid={nt}x{ns};rho={rho:.6g}", est.p_hat))
@@ -574,11 +551,6 @@ PIPELINES = {
 
 
 def main(argv=None) -> int:
-    try:
-        _apply_thread_cap()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     import argparse
 
     parser = argparse.ArgumentParser(

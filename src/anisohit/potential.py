@@ -439,8 +439,8 @@ def capacity(
         raise ConfigurationError(
             f"the target splits into {len(centers)} cells; capacity allows at most {_MAX_CAPACITY_CELLS}"
         )
-    dists = _cell_distances(centers)
-    if width == 0.0:
+    if width == 0.0:  # points: a repeated one is refused ahead of any verdict
+        dists = _cell_distances(centers)
         self_energy = float(np.asarray(kernel.radial_profile(np.zeros(1)))[0])
     elif kernel.integrable_at_zero:
         self_energy = float(np.mean(kernel.radial_profile(width * _unit_pair_seps(target.dim))))
@@ -448,6 +448,8 @@ def capacity(
         self_energy = math.inf
     if not math.isfinite(self_energy):
         return CapacityReport(0.0, math.inf, 0.0, 0, None)
+    if width > 0.0:  # cells of one positive width cannot repeat a point
+        dists = _cell_distances(centers)
 
     with np.errstate(over="ignore"):
         K = np.asarray(kernel.radial_profile(dists), dtype=float)

@@ -98,7 +98,9 @@ def _run_pipeline_twice(tmp_path_factory, pipeline: str, cfg_text: str):
     src = str(Path(anisohit.__file__).resolve().parents[1])
     env = dict(
         os.environ,
-        ANISOHIT_THREADS="1",
+        OMP_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
     outs = [root / sub for sub in ("a", "b")]

@@ -167,14 +167,19 @@ def test_gauge_check_accepts_the_log_corrected_family(tmp_path):
     assert ",false" not in (tmp_path / "gauge-check.csv").read_text()
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    """Append ``name`` to ``calls`` whenever ``module.name`` is called."""
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
+
+
 def test_gauge_check_decides_monotonicity_once(tmp_path, monkeypatch):
     # the monotone and polar rows read the report check_growth returns;
     # each check of a log-corrected gauge is a bisection
     import anisohit.gauges
 
     calls = []
-    check = anisohit.gauges.check_monotonicity
-    monkeypatch.setattr(anisohit.gauges, "check_monotonicity", lambda system: calls.append(system) or check(system))
+    _count_calls(monkeypatch, calls, anisohit.gauges, "check_monotonicity")
     cfg = _write(tmp_path, _critical_gauges("power-log"))
     assert main(["gauge-check", "--config", cfg, "--out", str(tmp_path)]) == 0
     assert len(calls) == 1
@@ -316,6 +321,76 @@ def test_invalid_numeric_config_exits_2(tmp_path, pipeline, text):
     assert not (tmp_path / f"{pipeline}.csv").exists()
 
 
+_SMALL_BALL = "hurst = 0.75\nn_times = 4\nn_sites = 4\n"
+_POLARITY = "hurst = 0.9\ncomponents = 4\ngrids = 8x8,16x16\nn_samples = 200\n"
+_CANTOR = "target = cantor\neps = 0.1, 0.01\n"
+_INTERVAL = "target = interval\nriesz_beta = 0.3\n"
+
+# every range-checked key: a base config, the key's out-of-range line, and
+# the refusal, which names the key once, where the reader reads it
+_RANGE_CHECKED = [
+    ("gauge-check", _GAUGES, "expect_increasing = 2", "must be 0 or 1, got 2"),
+    ("gauge-check", _GAUGES, "growth_limit = nan", "must be finite, got nan"),
+    ("gauge-check", _GAUGES + "growth_limit = 2\n", "growth_limit_rel_tol = -1", "must be finite and at least 0, got -1.0"),
+    ("variance-scaling", "hurst = 0.75\n", "t_ref = 0", "must be positive and finite, got 0.0"),
+    ("variance-scaling", "hurst = 0.75\n", "factors = nan, 2", "must be positive and finite, got nan"),
+    ("variance-scaling", "hurst = 0.75\n", "factors = 0.5, -2, 4", "must be positive and finite, got -2.0"),
+    ("variance-scaling", "hurst = 0.75\n", "factors = 0.5, 2, inf", "must be positive and finite, got inf"),
+    ("variance-scaling", "hurst = 0.75\n", "rel_tol = nan", "must be finite and at least 0, got nan"),
+    ("metric-equivalence", "hurst = 0.75\n", "n_pairs = 1", "must be at least 2, got 1"),
+    ("metric-equivalence", "hurst = 0.75\n", "band_limit = 0.99", "must be finite and at least 1, got 0.99"),
+    ("rates", "hurst = 0.7\n", "temporal_tol = -0.1", "must be finite and at least 0, got -0.1"),
+    ("rates", "hurst = 0.7\n", "spatial_tol = inf", "must be finite and at least 0, got inf"),
+    ("rates", "hurst = 0.75\n", "residual_ratio_min = 0", "must be positive and finite, got 0.0"),
+    ("capacity", _INTERVAL, "tol = -1", "must be positive and finite, got -1.0"),
+    ("capacity", _INTERVAL, "expect_capacity = nan", "must be positive and finite, got nan"),
+    ("capacity", _INTERVAL + "expect_capacity = 0.6\n", "expect_rel_tol = -inf", "must be finite and at least 0, got -inf"),
+    ("capacity", _INTERVAL, "homogeneity_scale = inf", "must be positive and finite, got inf"),
+    ("hausdorff", _CANTOR, "gauge_gamma = -0.5", "must be positive and finite, got -0.5"),
+    ("hausdorff", _CANTOR + "gauge_gamma = 0.63\n", "expect_value = 0", "must be positive and finite, got 0.0"),
+    ("hausdorff", _CANTOR + "gauge_gamma = 0.63\nexpect_value = 1\n", "expect_factor = 0.9", "must be finite and at least 1, got 0.9"),
+    ("small-ball", _SMALL_BALL, "slope_tol = -0.3", "must be finite and at least 0, got -0.3"),
+    ("polarity", _POLARITY, "expect_polar = -1", "must be 0 or 1, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "pipeline, base, line, problem",
+    _RANGE_CHECKED,
+    ids=[f"{pipeline}-{line.replace(' ', '')}" for pipeline, _, line, _ in _RANGE_CHECKED],
+)
+def test_a_range_checked_key_is_refused_by_name(tmp_path, capsys, pipeline, base, line, problem):
+    key = line.split(" = ")[0]
+    assert main([pipeline, "--config", _write(tmp_path, base + line + "\n"), "--out", str(tmp_path)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err == f"error: config key {key!r} {problem}"
+    assert not (tmp_path / f"{pipeline}.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "pipeline, text, problem",
+    [
+        ("polarity", _POLARITY.replace("16x16", "16x16,32x32,128x128"), "grid has 16384 points"),
+        ("capacity", "target = cantor\ntarget_level = 5\nriesz_beta = 0.3\nhomogeneity_scale = 2\n", "homogeneity_scale supports"),
+        ("capacity", _INTERVAL + "n_cells = 64\nhomogeneity_scale = 100\n", "asked for 6400"),
+        # the larger cover goes first either way round
+        ("capacity", _INTERVAL + "n_cells = 5000\nhomogeneity_scale = 0.5\n", "asked for 5000"),
+    ],
+    ids=["polarity-128x128", "homogeneity-cantor", "homogeneity-cells", "cells-below-scale-1"],
+)
+def test_a_late_bad_value_is_refused_before_any_work(tmp_path, capsys, monkeypatch, pipeline, text, problem):
+    import anisohit.mc
+    import anisohit.potential
+
+    work = []
+    _count_calls(monkeypatch, work, anisohit.mc, "factor_covariance")
+    _count_calls(monkeypatch, work, anisohit.potential, "_simplex_min_quadratic")
+    assert main([pipeline, "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 2
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: ") and problem in err
+    assert work == []
+
+
 @pytest.mark.parametrize(
     "pipeline, text",
     [
@@ -362,18 +437,6 @@ def test_unknown_pipeline_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-pipeline", "--config", cfg])
     assert exc.value.code == 2
-
-
-def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("ANISOHIT_THREADS", "bogus")
-    cfg = _write(tmp_path, "hurst = 0.75\n")
-    assert main(["variance-scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
-    monkeypatch.setenv("ANISOHIT_THREADS", "0")
-    assert main(["variance-scaling", "--config", cfg, "--out", str(tmp_path)]) == 2
-    monkeypatch.setenv("ANISOHIT_THREADS", "2")
-    assert main(["variance-scaling", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
 
 def test_hit_mc_reports_are_byte_identical_for_one_seed(tmp_path):

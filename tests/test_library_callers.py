@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "kernel_from_gauge": "direction 6, the hitting-bounds pipeline, takes capacities under it",
     "GaugeSystem.hausdorff_gauge": "direction 5: small-ball reads its reference slope from it",
-    "HeatModel.metric": "Fix first 1: perfbench/spans.py wraps it by name until it traces HeatModel.metrics",
+    "HeatModel.metric": "Fix first 2: perfbench/spans.py wraps it by name until it traces HeatModel.metrics; Fix first 3 then deletes it",
 }
 
 

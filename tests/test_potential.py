@@ -403,6 +403,17 @@ def test_capacity_holds_k_and_one_distance_array(beta, target, n_cells):
     assert peak <= 2.25 * 8 * len(report.weights) ** 2
 
 
+def test_capacity_without_a_solve_builds_no_distances():
+    # cells of positive width under a kernel not integrable at 0 have an
+    # infinite self-energy: the capacity is 0, and one n x n array of 4096
+    # cells (134 MB) traced a 140.5 MB peak when built ahead of that verdict
+    kernel = riesz_kernel(1.5, 1)
+    capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=16, tol=1e-6)  # warms up untraced
+    report, peak = traced_peak(lambda: capacity(kernel, Box(lo=(0.0,), hi=(1.0,)), n_cells=4096, tol=1e-6))
+    assert report.capacity == 0.0 and report.weights is None
+    assert peak < 8 * 4096**2 / 16
+
+
 @pytest.mark.parametrize("pair", [(0, 1), (3, 517), (0, 1199), (599, 600)])
 def test_coincident_centers_in_different_bands_are_refused(pair):
     # 1200 plane points fill 109 rows per band: a repeat is found whichever
